@@ -1,7 +1,8 @@
 // Figure 22 (this repo's extension beyond the paper): the MVCC update
 // plane under concurrent reads. One writer thread streams update batches
 // through BlockSet::ApplyBatchUpdate (shard-routed, clone-patch-publish
-// commits) while 1/2/4/8 reader threads run cached SELECTs — with no
+// commits) while 1/2/4/8 reader threads run SELECTs (SelectCoveringInto,
+// the allocation-free fold the server runs) — with no
 // external serialization anywhere. Reported per thread count:
 //
 //   * update throughput (tuples/s) with readers running,
@@ -71,7 +72,7 @@ struct Row {
 void Run() {
   bench_util::Banner(
       "Figure 22 — concurrent updates (beyond the paper)",
-      "shard-routed MVCC commits (BlockSet::ApplyBatchUpdate) vs cached "
+      "shard-routed MVCC commits (BlockSet::ApplyBatchUpdate) vs "
       "read latency at 1/2/4/8 reader threads; counts range-checked "
       "during commits, exact after quiescing.");
   const TaxiEnv env = TaxiEnv::Create(TaxiPoints());
@@ -94,19 +95,12 @@ void Run() {
                                   "durable read qps"});
   for (const size_t readers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     // A fresh set per thread count so every run starts from the same
-    // state and the same warm cache.
+    // state.
     core::BlockSet set = core::BlockSet::Build(
         sharded, core::BlockSetOptions{{kDefaultLevel, {}}});
-    set.EnableCache(core::GeoBlockQC::Options{0.10, /*rebuild_interval=*/0});
     std::vector<std::vector<cell::CellId>> coverings;
     for (const geo::Polygon& poly : env.neighborhoods) {
       coverings.push_back(set.Cover(poly));
-    }
-    for (int round = 0; round < 2; ++round) {
-      for (const auto& covering : coverings) {
-        (void)set.SelectCoveringCached(covering, req);
-      }
-      set.RebuildCaches();
     }
     std::vector<uint64_t> pre;
     for (const auto& covering : coverings) {
@@ -134,7 +128,7 @@ void Run() {
           core::QueryResult result;
           for (size_t r = 0; r < read_rounds; ++r) {
             for (const auto& covering : coverings) {
-              set.SelectCoveringCachedInto(covering, req, &result);
+              set.SelectCoveringInto(covering, req, &result);
               queries.fetch_add(1, std::memory_order_relaxed);
             }
           }
@@ -173,7 +167,7 @@ void Run() {
               if (count < pre[i] || count > pre[i] + total_updates) {
                 range_errors.fetch_add(1, std::memory_order_relaxed);
               }
-              set.SelectCoveringCachedInto(coverings[i], req, &result);
+              set.SelectCoveringInto(coverings[i], req, &result);
               queries.fetch_add(1, std::memory_order_relaxed);
             }
             ++rounds;
@@ -206,14 +200,6 @@ void Run() {
     {
       core::BlockSet dset = core::BlockSet::Build(
           sharded, core::BlockSetOptions{{kDefaultLevel, {}}});
-      dset.EnableCache(
-          core::GeoBlockQC::Options{0.10, /*rebuild_interval=*/0});
-      for (int round = 0; round < 2; ++round) {
-        for (const auto& covering : coverings) {
-          (void)dset.SelectCoveringCached(covering, req);
-        }
-        dset.RebuildCaches();
-      }
       const std::string wal_path = "fig22_updates.wal";
       std::remove(wal_path.c_str());
       auto log = io::UpdateLog::Open(wal_path);
@@ -242,7 +228,7 @@ void Run() {
               if (count < pre[i] || count > pre[i] + total_updates) {
                 range_errors.fetch_add(1, std::memory_order_relaxed);
               }
-              dset.SelectCoveringCachedInto(coverings[i], req, &result);
+              dset.SelectCoveringInto(coverings[i], req, &result);
               queries.fetch_add(1, std::memory_order_relaxed);
             }
             ++rounds;

@@ -181,4 +181,13 @@ double ApproxCellDiagonalMeters(int level, double lat) {
   return std::sqrt(dx * dx + dy * dy);
 }
 
+int LevelForErrorBound(double max_error_meters, double lat) {
+  for (int level = 0; level <= CellId::kMaxLevel; ++level) {
+    if (ApproxCellDiagonalMeters(level, lat) <= max_error_meters) {
+      return level;
+    }
+  }
+  return CellId::kMaxLevel;
+}
+
 }  // namespace geoblocks::cell

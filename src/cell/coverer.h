@@ -115,4 +115,10 @@ geo::Rect GetInteriorRect(const geo::Polygon& polygon);
 /// the S2 cell statistics table the paper references).
 double ApproxCellDiagonalMeters(int level, double lat = 40.7);
 
+/// Chooses the coarsest cell level whose diagonal (the worst-case spatial
+/// error, Section 3.2) does not exceed `max_error_meters` at latitude
+/// `lat` — how "the user can specify the error bound by choosing an
+/// appropriate cell level". Unreachable bounds clamp to the finest level.
+int LevelForErrorBound(double max_error_meters, double lat = 40.7);
+
 }  // namespace geoblocks::cell

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "cell/cell_id.h"
@@ -100,12 +99,6 @@ class AggregateTrie {
 
   /// Folds a cached aggregate into an accumulator.
   void Combine(const uint8_t* agg, Accumulator* acc) const;
-
-  /// Persists the trie (root cell, column count, raw arena) so a warmed
-  /// cache survives restarts, matching the paper's in-place storage of the
-  /// AggregateTrie next to the cell aggregates.
-  void WriteTo(std::ostream& out) const;
-  static AggregateTrie ReadFrom(std::istream& in);
 
   /// Integrates a newly arriving tuple into every cached aggregate on the
   /// path from the root to the tuple's cell (Section 5: "update all cached

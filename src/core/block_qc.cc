@@ -29,7 +29,7 @@ QueryResult GeoBlockQC::SelectCovering(
   return acc.Finish();
 }
 
-bool GeoBlockQC::CombineCovering(std::span<const cell::CellId> covering,
+void GeoBlockQC::CombineCovering(std::span<const cell::CellId> covering,
                                  Accumulator* acc_out) const {
   {
     // Two epoch guards per query: the whole covering is answered from a
@@ -39,10 +39,6 @@ bool GeoBlockQC::CombineCovering(std::span<const cell::CellId> covering,
     const util::SnapshotCell<AggregateTrie>::ReadGuard trie(trie_);
     const util::SnapshotCell<BlockState>::ReadGuard state(
         block_->state_cell());
-    // Evicted shard: fold nothing — a still-populated trie could answer
-    // full hits, but partial hits would fall back to the (empty)
-    // tombstone and silently lose rows. The caller re-faults and retries.
-    if (state->evicted) return false;
     Accumulator& acc = *acc_out;
     size_t last_idx = GeoBlock::kNoLastAgg;
     for (cell::CellId qcell : covering) {
@@ -96,19 +92,6 @@ bool GeoBlockQC::CombineCovering(std::span<const cell::CellId> covering,
   // Outside the guards: an inline rebuild must not wait for its own
   // reader lease to drain.
   MaybeRebuildAfterQuery();
-  return true;
-}
-
-size_t GeoBlockQC::DropTrie() const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  const AggregateTrie* prev = trie_.WriterPeek();
-  if (prev->empty()) return 0;
-  const size_t bytes = prev->MemoryBytes();
-  trie_.Publish(std::make_shared<AggregateTrie>());
-  // The retire hook just parked the dropped snapshot as the recycling
-  // spare; eviction exists to free those bytes, so drop the spare too.
-  spare_trie_.reset();
-  return bytes;
 }
 
 void GeoBlockQC::MaybeRebuildAfterQuery() const {
@@ -151,10 +134,10 @@ void GeoBlockQC::RebuildCache() const {
   // previous trie is safe here.
   const AggregateTrie* prev = trie_.WriterPeek();
   // Pin the block state *inside* the writer critical section: update
-  // commits (CommitBlockBatch / CommitNewRegionMerge) publish their state
-  // and trie patch under the same mutex, so the version seen here is
-  // always whole-commit consistent with `prev` — a rebuild can neither
-  // lose a committed batch nor let one be applied twice.
+  // commits (CommitBlockBatch) publish their state and trie patch under
+  // the same mutex, so the version seen here is always whole-commit
+  // consistent with `prev` — a rebuild can neither lose a committed batch
+  // nor let one be applied twice.
   const std::shared_ptr<const BlockState> state = block_->StateSnapshot();
   // Build the successor off the read path: a point-in-time-ish stats
   // snapshot ranks the cells; payloads cached by the outgoing snapshot are
@@ -167,35 +150,18 @@ void GeoBlockQC::RebuildCache() const {
 }
 
 void GeoBlockQC::PatchTrieLocked(std::span<const GeoBlock::UpdateTuple> batch,
-                                 std::span<const uint32_t> subset,
                                  const std::vector<size_t>& rejected) {
   // An empty trie (cache enabled but nothing cached yet) makes every
   // tuple walk a no-op: skip the clone, epoch flip, and grace period —
   // the published snapshot would be bit-identical.
   if (trie_.WriterPeek()->empty()) return;
   // Copy-on-write: patch a private clone, then publish it atomically so
-  // readers see the whole batch or none of it. The clone lands in the
-  // snapshot retired by the previous commit when that spare is sole-owned —
-  // copy-assignment reuses its arena buffer, so the steady-state commit
-  // allocates no trie storage.
-  std::shared_ptr<AggregateTrie> patched;
-  if (spare_trie_ != nullptr && spare_trie_.use_count() == 1) {
-    patched = std::move(spare_trie_);
-    *patched = *trie_.WriterPeek();
-  } else {
-    patched = std::make_shared<AggregateTrie>(*trie_.WriterPeek());
-  }
-  spare_trie_.reset();
-  // Iterate the effective tuples: the routed subset (ascending batch
-  // indices) when one is given, the whole batch otherwise. `rejected`
-  // holds ascending batch indices in the same order, so one cursor skips
-  // them.
-  const size_t m = subset.empty() ? batch.size() : subset.size();
+  // readers see the whole batch or none of it.
+  auto patched = std::make_shared<AggregateTrie>(*trie_.WriterPeek());
+  // `rejected` holds ascending batch indices, so one cursor skips them.
   size_t next_rejected = 0;
-  for (size_t j = 0; j < m; ++j) {
-    const size_t b = subset.empty() ? j : subset[j];
-    // Skip tuples the block rejected (new regions require a merge, which
-    // patches the cache through CommitNewRegionMerge when it happens).
+  for (size_t b = 0; b < batch.size(); ++b) {
+    // Skip tuples the block rejected (new regions require a rebuild).
     if (next_rejected < rejected.size() && rejected[next_rejected] == b) {
       ++next_rejected;
       continue;
@@ -208,8 +174,7 @@ void GeoBlockQC::PatchTrieLocked(std::span<const GeoBlock::UpdateTuple> batch,
 }
 
 GeoBlock::UpdateResult GeoBlockQC::CommitBlockBatch(
-    GeoBlock* block, std::span<const GeoBlock::UpdateTuple> batch,
-    std::span<const uint32_t> subset) {
+    GeoBlock* block, std::span<const GeoBlock::UpdateTuple> batch) {
   if (block != block_) {
     // Patching this cache with another block's batch would silently
     // diverge cache answers from block answers; fail loudly instead.
@@ -220,24 +185,9 @@ GeoBlock::UpdateResult GeoBlockQC::CommitBlockBatch(
   // one writer critical section, so a rebuild serializes against it as a
   // unit. Readers are never blocked: both publishes are epoch swaps.
   std::lock_guard<std::mutex> lock(writer_mu_);
-  const GeoBlock::UpdateResult result = block->ApplyBatchUpdate(batch, subset);
-  if (result.applied > 0) PatchTrieLocked(batch, subset, result.rejected);
+  const GeoBlock::UpdateResult result = block->ApplyBatchUpdate(batch);
+  if (result.applied > 0) PatchTrieLocked(batch, result.rejected);
   return result;
-}
-
-size_t GeoBlockQC::CommitNewRegionMerge(
-    GeoBlock* block, std::span<const GeoBlock::UpdateTuple> batch) {
-  if (block != block_) {
-    throw std::invalid_argument(
-        "GeoBlockQC::CommitNewRegionMerge: block is not the wrapped block");
-  }
-  if (batch.empty()) return 0;
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  const size_t new_cells = block->MergeNewRegionTuples(batch);
-  // Every tuple is applied by a merge; cached ancestor aggregates of the
-  // new cells absorb them one ApplyTupleUpdate walk each.
-  PatchTrieLocked(batch, {}, {});
-  return new_cells;
 }
 
 }  // namespace geoblocks::core

@@ -89,6 +89,10 @@ class CacheCounterPlane {
 /// adapted SELECT algorithm of Figure 8. COUNT queries bypass the cache, as
 /// their runtime is mostly independent of the cell level (Section 3.6).
 ///
+/// The cache is single-block only. The sharded engine (BlockSet) has no
+/// cache plane: there a read's time goes to covering the polygon, not to
+/// the fold the trie shortens (docs/ARCHITECTURE.md §The cache path).
+///
 /// ## Concurrency model (lock-free cached reads)
 ///
 /// The cache is split into two planes so the hot path never takes a lock:
@@ -113,10 +117,10 @@ class CacheCounterPlane {
 /// `Select`/`SelectCovering`/`CombineCovering`/`Count` are therefore
 /// `const` and safe to call from any number of threads concurrently, with
 /// results bit-identical to a mutex-guarded execution of the same snapshot
-/// sequence. Writers (`RebuildCache`, `CommitBlockBatch`,
-/// `CommitNewRegionMerge`) serialize among themselves on an internal
-/// mutex that readers never touch; the commit entry points publish the
-/// block state and the trie patch inside one writer critical section,
+/// sequence. Writers (`RebuildCache`, `CommitBlockBatch`) serialize among
+/// themselves on an internal mutex that readers never touch; a commit
+/// publishes the block state and the trie patch inside one writer critical
+/// section,
 /// which is what makes an interval-triggered rebuild racing an update
 /// commit safe (a rebuild sees either the whole commit or none of it —
 /// it can neither lose a batch nor bake one in twice).
@@ -147,8 +151,8 @@ class GeoBlockQC {
     /// is safe (the tasks turn into no-ops via a shared gate); use
     /// ThreadPool::WaitIdle when a test or shutdown path wants pending
     /// rebuilds to have actually published. Update commits need no such
-    /// drain: CommitBlockBatch/CommitNewRegionMerge serialize with queued
-    /// rebuilds on the writer mutex.
+    /// drain: CommitBlockBatch serializes with queued rebuilds on the
+    /// writer mutex.
     util::ThreadPool* rebuild_pool = nullptr;
   };
 
@@ -158,18 +162,7 @@ class GeoBlockQC {
       : block_(block),
         options_(options),
         stats_(options.stats_capacity),
-        trie_(std::make_shared<AggregateTrie>()) {
-    // Recycle retired trie snapshots: the hook runs inside Publish, which
-    // every writer calls under writer_mu_, so spare_trie_ (also guarded by
-    // writer_mu_) is safe to touch here. A sole-owned retiree keeps its
-    // arena buffer alive for the next clone-patch — the steady-state commit
-    // path stops allocating trie storage.
-    trie_.SetRetireHook([this](std::shared_ptr<const AggregateTrie> old) {
-      if (old.use_count() == 1) {
-        spare_trie_ = std::const_pointer_cast<AggregateTrie>(std::move(old));
-      }
-    });
-  }
+        trie_(std::make_shared<AggregateTrie>()) {}
 
   // The cache planes are atomics and a slot table: pin the address.
   GeoBlockQC(const GeoBlockQC&) = delete;
@@ -229,23 +222,13 @@ class GeoBlockQC {
                              const AggregateRequest& request) const;
 
   /// Core of the adapted SELECT: combines the covering into an external
-  /// accumulator instead of finishing a result. Lets a sharded engine fold
-  /// several cached blocks into one query answer (BlockSet). Loads the
-  /// trie snapshot exactly once, so one call is internally consistent.
-  ///
-  /// Memory governance: when the pinned block state is an eviction
-  /// tombstone (the shard was dropped back to "mapped, not materialized"
-  /// between the caller's fault-in and this pin), the call folds NOTHING
-  /// — not even trie hits, since partial hits would mix cached aggregates
-  /// with an empty base state — and returns false so the caller can
-  /// re-materialize and retry. Callers without a fault-in path (plain
-  /// non-lazy sets, direct QC use) always get true.
+  /// accumulator instead of finishing a result. Loads the trie snapshot
+  /// and the block state exactly once, so one call is internally
+  /// consistent.
   ///
   /// @param covering Covering cells, ascending and disjoint.
   /// @param acc      Accumulator the aggregates are folded into.
-  /// @return False iff the block state was an eviction tombstone (nothing
-  ///     was folded into `acc`).
-  bool CombineCovering(std::span<const cell::CellId> covering,
+  void CombineCovering(std::span<const cell::CellId> covering,
                        Accumulator* acc) const;
 
   /// COUNT uses the unmodified base algorithm (no noticeable speedup is
@@ -272,35 +255,17 @@ class GeoBlockQC {
   /// BlockState) and mirrors the applied tuples into a patched trie
   /// snapshot (copy-on-write: readers see the whole batch or none of it),
   /// all inside the writer critical section. Safe concurrently with any
-  /// number of readers and with interval-triggered rebuilds; this is the
-  /// per-shard commit BlockSet::ApplyBatchUpdate runs under its shard
-  /// lock. There is deliberately no two-step variant: a block publish
-  /// outside the critical section would let a racing rebuild bake the
-  /// batch into its fresh trie before the cache patch applied it again.
+  /// number of readers and with interval-triggered rebuilds. There is
+  /// deliberately no two-step variant: a block publish outside the
+  /// critical section would let a racing rebuild bake the batch into its
+  /// fresh trie before the cache patch applied it again.
   ///
-  /// @param block  The wrapped block (non-const: the commit publishes).
-  /// @param batch  The arriving tuples.
-  /// @param subset Optional ascending indices into `batch` selecting the
-  ///     tuples to commit (a shard's routed slice); empty means the whole
-  ///     batch. Rejected indices in the result are batch indices either way.
+  /// @param block The wrapped block (non-const: the commit publishes).
+  /// @param batch The arriving tuples.
   /// @return The block's UpdateResult for the batch.
   /// @throws std::invalid_argument when `block` is not the wrapped block.
   GeoBlock::UpdateResult CommitBlockBatch(
-      GeoBlock* block, std::span<const GeoBlock::UpdateTuple> batch,
-      std::span<const uint32_t> subset = {});
-
-  /// One-shot MVCC commit of a new-region merge (the batched rebuild for
-  /// tuples ApplyBatchUpdate rejected): merges `batch` into a fresh block
-  /// state via GeoBlock::MergeNewRegionTuples and patches every cached
-  /// ancestor aggregate in a cloned trie, inside one writer critical
-  /// section. Safe concurrently with readers and rebuilds.
-  ///
-  /// @param block The wrapped block.
-  /// @param batch The (previously rejected) tuples to merge.
-  /// @return Number of new cell aggregates created.
-  /// @throws std::invalid_argument when `block` is not the wrapped block.
-  size_t CommitNewRegionMerge(GeoBlock* block,
-                              std::span<const GeoBlock::UpdateTuple> batch);
+      GeoBlock* block, std::span<const GeoBlock::UpdateTuple> batch);
 
   /// Cache budget in bytes implied by the threshold.
   ///
@@ -315,28 +280,11 @@ class GeoBlockQC {
     return block_->MemoryBytes() + trie_snapshot()->MemoryBytes();
   }
 
-  /// @return Bytes of the published trie snapshot alone — the charge the
-  ///     MemoryGovernor accounts for the cache-trie resource class.
-  size_t TrieBytes() const { return trie_snapshot()->MemoryBytes(); }
-
-  /// Memory-governor eviction entry point: publishes an empty trie (and
-  /// drops the recycled spare), reclaiming the cache bytes once the grace
-  /// period drains. Always succeeds — the trie is a pure accelerator, so
-  /// unlike block-state eviction there is nothing to refuse over; queries
-  /// simply miss until interval-triggered rebuilds repopulate it from the
-  /// stats table. Safe concurrently with readers, rebuilds, and commits.
-  ///
-  /// @return Bytes the dropped snapshot held (0 when already empty).
-  size_t DropTrie() const;
-
  private:
-  /// Clones the published trie (into the recycled spare when one is
-  /// available), patches it with the batch's effective tuples — `subset`
-  /// order when non-empty, whole batch otherwise — skipping the rejected
-  /// batch indices, and publishes the patched snapshot. Must hold
-  /// writer_mu_.
+  /// Clones the published trie, patches it with the batch's tuples —
+  /// skipping the rejected batch indices — and publishes the patched
+  /// snapshot. Must hold writer_mu_.
   void PatchTrieLocked(std::span<const GeoBlock::UpdateTuple> batch,
-                       std::span<const uint32_t> subset,
                        const std::vector<size_t>& rejected);
 
   /// Interval trigger: bumps the per-query epoch counter and, when it
@@ -369,10 +317,6 @@ class GeoBlockQC {
   /// Writer-side only (rebuilds and update propagation); the read path
   /// never acquires it.
   mutable std::mutex writer_mu_;
-  /// Retired trie snapshot kept for reuse by the next clone-patch commit
-  /// (set by the retire hook, consumed by PatchTrieLocked). Guarded by
-  /// writer_mu_ — the hook only runs inside a writer's Publish.
-  mutable std::shared_ptr<AggregateTrie> spare_trie_;
 };
 
 }  // namespace geoblocks::core

@@ -21,7 +21,6 @@ BlockSet::BlockSet(BlockSet&& other) noexcept
     : level_(other.level_),
       projection_(other.projection_),
       blocks_(std::move(other.blocks_)),
-      cached_(std::move(other.cached_)),
       writers_(std::move(other.writers_)),
       update_options_(other.update_options_),
       align_level_(other.align_level_),
@@ -50,7 +49,6 @@ BlockSet& BlockSet::operator=(BlockSet&& other) noexcept {
   level_ = other.level_;
   projection_ = other.projection_;
   blocks_ = std::move(other.blocks_);
-  cached_ = std::move(other.cached_);
   writers_ = std::move(other.writers_);
   update_options_ = other.update_options_;
   align_level_ = other.align_level_;
@@ -244,6 +242,19 @@ void BlockSet::OverlappingShards(std::span<const cell::CellId> covering,
   }
 }
 
+template <typename Read>
+auto BlockSet::ReadShard(size_t s, const Read& read) const {
+  // On a lazy set the pin comes from ResidentState, which faults cold
+  // shards in first — the fold never sees a tombstone, so answers stay
+  // bit-identical to the fully resident set. An eager shard is never a
+  // tombstone: the block's epoch guard pins its current version without
+  // touching a refcount.
+  if (source_ != nullptr) return read(*ResidentState(s, /*rebalance=*/true));
+  const util::SnapshotCell<BlockState>::ReadGuard state(
+      blocks_[s]->state_cell());
+  return read(*state);
+}
+
 QueryResult BlockSet::Select(const geo::Polygon& polygon,
                              const AggregateRequest& request) const {
   thread_local std::vector<cell::CellId> covering;
@@ -253,23 +264,26 @@ QueryResult BlockSet::Select(const geo::Polygon& polygon,
 
 QueryResult BlockSet::SelectCovering(std::span<const cell::CellId> covering,
                                      const AggregateRequest& request) const {
+  QueryResult result;
+  SelectCoveringInto(covering, request, &result);
+  return result;
+}
+
+void BlockSet::SelectCoveringInto(std::span<const cell::CellId> covering,
+                                  const AggregateRequest& request,
+                                  QueryResult* out) const {
   thread_local std::vector<size_t> shards;
   OverlappingShards(covering, &shards);
   Accumulator acc(&request);
   // Each shard folds its whole covering contribution under one pinned
-  // state version (GeoBlock::CombineCovering); shards ascend, so the fold
-  // order matches a single block over the same data bit for bit. On a
-  // lazy set the pin comes from ResidentState, which faults cold shards
-  // in first — the fold never sees a tombstone, so answers stay
-  // bit-identical to the fully resident set.
+  // state version; shards ascend, so the fold order matches a single block
+  // over the same data bit for bit.
   for (const size_t s : shards) {
-    if (source_ != nullptr) {
-      ResidentState(s, /*rebalance=*/true)->CombineCovering(covering, &acc);
-    } else {
-      blocks_[s]->CombineCovering(covering, &acc);
-    }
+    ReadShard(s, [&](const BlockState& state) {
+      state.CombineCovering(covering, &acc);
+    });
   }
-  return acc.Finish();
+  acc.FinishInto(out);
 }
 
 uint64_t BlockSet::Count(const geo::Polygon& polygon) const {
@@ -284,17 +298,18 @@ uint64_t BlockSet::CountCovering(
   OverlappingShards(covering, &shards);
   uint64_t result = 0;
   for (const size_t s : shards) {
-    if (source_ != nullptr) {
-      result += ResidentState(s, /*rebalance=*/true)->CountCovering(covering);
-    } else {
-      result += blocks_[s]->CountCovering(covering);
-    }
+    result += ReadShard(s, [&](const BlockState& state) {
+      return state.CountCovering(covering);
+    });
   }
   return result;
 }
 
 std::vector<QueryResult> BlockSet::ExecuteBatch(const QueryBatch& batch,
                                                 util::ThreadPool* pool) const {
+  if (batch.request == nullptr) {
+    throw std::invalid_argument("BlockSet::ExecuteBatch: null request");
+  }
   const AggregateRequest& request = *batch.request;
   const size_t q = batch.size();
   std::vector<QueryResult> results(q);
@@ -331,18 +346,14 @@ std::vector<QueryResult> BlockSet::ExecuteBatch(const QueryBatch& batch,
   first_part[q] = parts.size();
 
   std::vector<Accumulator> partials(parts.size(), Accumulator(&request));
+  // On a lazy set the pool worker that admits a (query, shard) task pays
+  // the shard's fault-in, so cold shards hydrate in parallel across the
+  // work-stealing pool.
   const auto run_part = [&](size_t p) {
     const Part& part = parts[p];
-    if (source_ != nullptr) {
-      // Admission-time fault-in: the pool worker that admits this
-      // (query, shard) task pays the shard's materialization, so cold
-      // shards hydrate in parallel across the work-stealing pool.
-      ResidentState(part.shard, /*rebalance=*/true)
-          ->CombineCovering(coverings[part.query], &partials[p]);
-    } else {
-      blocks_[part.shard]->CombineCovering(coverings[part.query],
-                                           &partials[p]);
-    }
+    ReadShard(part.shard, [&](const BlockState& state) {
+      state.CombineCovering(coverings[part.query], &partials[p]);
+    });
   };
   if (pool != nullptr) {
     pool->ParallelFor(parts.size(), run_part);
@@ -509,7 +520,6 @@ void BlockSet::CommitShardBatch(size_t s,
                                 std::atomic<size_t>* rebuilds) {
   ShardWriter& w = *writers_[s];
   GeoBlock* block = blocks_[s].get();
-  GeoBlockQC* qc = cache_enabled() ? cached_[s].get() : nullptr;
   std::lock_guard<std::mutex> lock(w.mu);
   // Lazy set: the commit must patch a materialized state — applying a
   // batch to a tombstone would reject every tuple into pending, and the
@@ -519,14 +529,10 @@ void BlockSet::CommitShardBatch(size_t s,
   // waiting on ours); the budget transiently overshoots and the next
   // query-path fault trims it.
   if (source_ != nullptr) EnsureResident(s);
-  // The commit proper: with a cache, block-state publish and trie patch
-  // run as one writer critical section (GeoBlockQC::CommitBlockBatch), so
-  // an interval-triggered trie rebuild can never interleave half a commit.
-  // The shard reads its tuples straight out of the caller's batch through
-  // the subset indices; rejected indices come back as batch indices.
-  const GeoBlock::UpdateResult r =
-      qc != nullptr ? qc->CommitBlockBatch(block, batch, subset)
-                    : block->ApplyBatchUpdate(batch, subset);
+  // The commit proper: the shard reads its tuples straight out of the
+  // caller's batch through the subset indices; rejected indices come back
+  // as batch indices.
+  const GeoBlock::UpdateResult r = block->ApplyBatchUpdate(batch, subset);
   applied->fetch_add(r.applied, std::memory_order_relaxed);
   buffered->fetch_add(r.rejected.size(), std::memory_order_relaxed);
   for (const size_t idx : r.rejected) {
@@ -553,9 +559,9 @@ void BlockSet::CommitShardBatch(size_t s,
     if (w.merge_inflight.exchange(true, std::memory_order_acq_rel)) return;
     rebuilds->fetch_add(1, std::memory_order_relaxed);
     std::shared_ptr<ShardWriter> writer = writers_[s];
-    update_options_.rebuild_pool->Submit([writer, block, qc] {
+    update_options_.rebuild_pool->Submit([writer, block] {
       std::lock_guard<std::mutex> task_lock(writer->mu);
-      if (writer->alive) MergePendingLocked(writer.get(), block, qc);
+      if (writer->alive) MergePendingLocked(writer.get(), block);
       // Clear the election *inside* the lock: an updater holds this mutex
       // when it checks the flag, so inflight==true always means the merge
       // has not locked yet and will still drain that updater's tuples —
@@ -564,22 +570,15 @@ void BlockSet::CommitShardBatch(size_t s,
     });
   } else {
     rebuilds->fetch_add(1, std::memory_order_relaxed);
-    MergePendingLocked(&w, block, qc);
+    MergePendingLocked(&w, block);
   }
 }
 
-bool BlockSet::MergePendingLocked(ShardWriter* writer, GeoBlock* block,
-                                  GeoBlockQC* qc) {
+bool BlockSet::MergePendingLocked(ShardWriter* writer, GeoBlock* block) {
   if (writer->pending.empty()) return false;
   // The batched rebuild for new regions: one linear merge of the sorted
-  // layouts (GeoBlock::MergeNewRegionTuples), with the cached ancestor
-  // aggregates patched in the same writer critical section when a cache
-  // exists.
-  if (qc != nullptr) {
-    qc->CommitNewRegionMerge(block, writer->pending);
-  } else {
-    block->MergeNewRegionTuples(writer->pending);
-  }
+  // layouts (GeoBlock::MergeNewRegionTuples).
+  block->MergeNewRegionTuples(writer->pending);
   writer->pending.clear();
   writer->pending.shrink_to_fit();
   writer->pending_count.store(0, std::memory_order_relaxed);
@@ -597,8 +596,7 @@ size_t BlockSet::FlushPendingUpdates() {
     // cell). Merging also marks the shard dirty — its state now runs
     // ahead of the mapped payload.
     if (source_ != nullptr && !w.pending.empty()) EnsureResident(s);
-    if (MergePendingLocked(&w, blocks_[s].get(),
-                           cache_enabled() ? cached_[s].get() : nullptr)) {
+    if (MergePendingLocked(&w, blocks_[s].get())) {
       if (source_ != nullptr) {
         residency_[s]->dirty.store(true, std::memory_order_release);
       }
@@ -670,7 +668,7 @@ uint64_t BlockSet::Checkpoint(const std::string& manifest_path) {
 }
 
 // ---------------------------------------------------------------------------
-// Attachment and the cached path
+// Attachment
 // ---------------------------------------------------------------------------
 
 void BlockSet::AttachDataset(
@@ -739,153 +737,6 @@ void BlockSet::AttachDataset(
 void BlockSet::DetachDataset() {
   for (const std::unique_ptr<GeoBlock>& b : blocks_) b->DetachData();
   dataset_attached_ = false;
-}
-
-void BlockSet::EnableCache(const GeoBlockQC::Options& options) {
-  // Trie governor entries reference the outgoing QCs: drop them before
-  // the QCs die (Unregister waits out an in-flight evict callback).
-  if (governor_ != nullptr) {
-    for (const std::shared_ptr<ShardResidency>& res : residency_) {
-      if (res != nullptr && res->trie_entry != nullptr) {
-        governor_->Unregister(res->trie_entry);
-        res->trie_entry = nullptr;
-      }
-    }
-  }
-  // Re-enabling after updates ran: background merge tasks still queued on
-  // a rebuild pool captured the *outgoing* QCs. Neutralize each shard's
-  // gate (the task locks, sees dead, skips) and migrate its pending
-  // buffer to a fresh writer record before destroying the QCs.
-  for (std::shared_ptr<ShardWriter>& w : writers_) {
-    if (w == nullptr) continue;
-    auto fresh = std::make_shared<ShardWriter>();
-    {
-      std::lock_guard<std::mutex> lock(w->mu);
-      w->alive = false;
-      fresh->pending = std::move(w->pending);
-      fresh->pending_count.store(fresh->pending.size(),
-                                 std::memory_order_relaxed);
-    }
-    w = std::move(fresh);
-  }
-  cached_.clear();
-  cached_.reserve(blocks_.size());
-  for (const std::unique_ptr<GeoBlock>& b : blocks_) {
-    cached_.push_back(std::make_unique<GeoBlockQC>(b.get(), options));
-  }
-  // Lazy sets re-wire the governor: the payload evict callbacks captured
-  // the OLD writer records (now flipped dead above) and would refuse
-  // every eviction, so they are re-registered against the fresh writers;
-  // the new tries get their own entries.
-  if (source_ != nullptr && governor_ != nullptr) {
-    for (size_t s = 0; s < blocks_.size(); ++s) {
-      RegisterShardEntry(s);
-      RegisterTrieEntry(s);
-    }
-  }
-}
-
-const GeoBlockQC& BlockSet::cached_shard(size_t i) const {
-  if (!cache_enabled()) {
-    throw std::logic_error("BlockSet::cached_shard: cache not enabled");
-  }
-  return *cached_[i];
-}
-
-QueryResult BlockSet::SelectCached(const geo::Polygon& polygon,
-                                   const AggregateRequest& request) const {
-  // Per-thread covering scratch: the vector's capacity is reused across
-  // queries, so the cached hot path performs no per-query allocation for
-  // the covering.
-  thread_local std::vector<cell::CellId> covering;
-  CoverInto(polygon, &covering);
-  return SelectCoveringCached(covering, request);
-}
-
-QueryResult BlockSet::SelectCoveringCached(
-    std::span<const cell::CellId> covering,
-    const AggregateRequest& request) const {
-  QueryResult result;
-  SelectCoveringCachedInto(covering, request, &result);
-  return result;
-}
-
-void BlockSet::SelectCoveringCachedInto(std::span<const cell::CellId> covering,
-                                        const AggregateRequest& request,
-                                        QueryResult* out) const {
-  thread_local std::vector<size_t> shards;
-  OverlappingShards(covering, &shards);
-  Accumulator acc(&request);
-  // Lock-free fold: each shard's CombineCovering loads that shard's trie
-  // snapshot and block-state version once and probes them without any
-  // mutex (GeoBlockQC concurrency model). Shards are visited in ascending
-  // order, so the fold stays bit-identical to a serialized execution over
-  // the same snapshots. With the cache disabled the same fold runs against
-  // the raw blocks (identical to SelectCovering).
-  if (cache_enabled()) {
-    for (const size_t s : shards) {
-      if (source_ == nullptr) {
-        cached_[s]->CombineCovering(covering, &acc);
-        continue;
-      }
-      // Lazy set: the cached fold refuses to answer over a tombstone
-      // (GeoBlockQC::CombineCovering returns false having folded
-      // nothing). Fault the shard in and retry; if eviction keeps
-      // winning the race, fold straight from the pinned state we just
-      // materialized — it is guaranteed non-tombstone, so correctness
-      // never depends on winning a race.
-      if (cached_[s]->CombineCovering(covering, &acc)) continue;
-      bool folded = false;
-      for (int attempt = 0; attempt < 2 && !folded; ++attempt) {
-        const std::shared_ptr<const BlockState> pinned =
-            ResidentState(s, /*rebalance=*/true);
-        folded = cached_[s]->CombineCovering(covering, &acc);
-        if (!folded && attempt == 1) {
-          pinned->CombineCovering(covering, &acc);
-          folded = true;
-        }
-      }
-    }
-  } else {
-    for (const size_t s : shards) {
-      if (source_ != nullptr) {
-        ResidentState(s, /*rebalance=*/true)->CombineCovering(covering, &acc);
-      } else {
-        blocks_[s]->CombineCovering(covering, &acc);
-      }
-    }
-  }
-  acc.FinishInto(out);
-}
-
-void BlockSet::RebuildCaches(util::ThreadPool* pool) {
-  const auto rebuild_one = [this](size_t i) { cached_[i]->RebuildCache(); };
-  if (pool != nullptr) {
-    pool->ParallelFor(cached_.size(), rebuild_one);
-  } else {
-    for (size_t i = 0; i < cached_.size(); ++i) rebuild_one(i);
-  }
-}
-
-CacheCounters BlockSet::MergedCacheCounters() const {
-  // Lock-free merge of per-shard snapshots: monotone between resets and
-  // exact once readers quiesce (see the header's consistency note).
-  CacheCounters total;
-  for (const std::unique_ptr<GeoBlockQC>& shard : cached_) {
-    const CacheCounters c = shard->counters();
-    total.probes += c.probes;
-    total.full_hits += c.full_hits;
-    total.partial_hits += c.partial_hits;
-    total.misses += c.misses;
-    total.stat_drops += c.stat_drops;
-  }
-  return total;
-}
-
-void BlockSet::ResetCacheCounters() {
-  for (const std::unique_ptr<GeoBlockQC>& shard : cached_) {
-    shard->ResetCounters();
-  }
 }
 
 }  // namespace geoblocks::core

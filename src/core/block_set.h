@@ -12,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/block_qc.h"
 #include "core/geoblock.h"
 #include "core/memory_governor.h"
 #include "io/mapped_file.h"
@@ -57,9 +56,9 @@ struct ShardFaultError : std::runtime_error {
 
 /// Configuration of BlockSet::OpenMapped.
 struct LazyOpenOptions {
-  /// When set, every shard's resident payload (and, after EnableCache,
-  /// every shard's trie) is registered with this governor, whose byte
-  /// budget drives LRU/cost eviction back to "mapped, not materialized".
+  /// When set, every shard's resident payload is registered with this
+  /// governor, whose byte budget drives LRU/cost eviction back to "mapped,
+  /// not materialized".
   /// Null = lazy loading without a budget (shards fault in and stay).
   /// Must outlive the set.
   MemoryGovernor* governor = nullptr;
@@ -110,30 +109,30 @@ struct QueryBatch {
 /// (the BlockHeader pre-check lifted to the shard level), and merging the
 /// per-shard partial aggregates.
 ///
-/// Sequential entry points (Select/Count) are `const` and thread-safe; the
-/// batched entry points fan out over a ThreadPool; the optional cached path
-/// wraps each shard in a GeoBlockQC whose reads are lock-free (epoch-swapped
-/// trie snapshots + relaxed-atomic stats; see docs/ARCHITECTURE.md,
-/// "Concurrency model").
+/// Sequential entry points (Select/Count) are `const`, lock-free and
+/// thread-safe; the batched entry points fan out over a ThreadPool. Every
+/// read folds each routed shard under one pinned state version (see
+/// docs/ARCHITECTURE.md, "Concurrency model"). The query cache
+/// (GeoBlockQC) is single-block only: a sharded read's time goes to
+/// covering, not folding, so the set has no cache plane.
 ///
 /// ## The update plane (MVCC writes, docs/ARCHITECTURE.md "Update plane")
 ///
 /// ApplyBatchUpdate routes arriving tuples to shards by Hilbert key using
 /// the manifest boundaries and commits each shard's sub-batch under that
 /// shard's commit lock: the shard block publishes a cloned-and-patched
-/// BlockState version, and (when the cache is enabled) the shard's trie is
-/// patched in the same writer critical section. Writers stripe across
-/// shards — commits to different shards proceed in parallel (optionally on
-/// a ThreadPool) — and readers never block: SELECT/COUNT, cached or not,
-/// run concurrently with updates with no external serialization. Tuples
-/// for new, previously unaggregated regions land in a per-shard pending
-/// buffer; when a buffer crosses UpdateOptions::pending_rebuild_threshold,
-/// one writer is CAS-elected to merge it into a fresh shard state (the
-/// paper's "batched rebuild"), inline or on UpdateOptions::rebuild_pool.
+/// BlockState version. Writers stripe across shards — commits to different
+/// shards proceed in parallel (optionally on a ThreadPool) — and readers
+/// never block: SELECT/COUNT run concurrently with updates with no
+/// external serialization. Tuples for new, previously unaggregated regions
+/// land in a per-shard pending buffer; when a buffer crosses
+/// UpdateOptions::pending_rebuild_threshold, one writer is CAS-elected to
+/// merge it into a fresh shard state (the paper's "batched rebuild"),
+/// inline or on UpdateOptions::rebuild_pool.
 ///
-/// Like EnableCache, the update plane holds per-shard pointers: configure
-/// and update a set only in its final resting place (don't move a set
-/// that is actively serving updates).
+/// The update plane holds per-shard pointers: configure and update a set
+/// only in its final resting place (don't move a set that is actively
+/// serving updates).
 ///
 /// ## Persistence and the attach/detach state machine
 ///
@@ -250,6 +249,19 @@ class BlockSet {
   /// @return One value per requested aggregate plus the tuple count.
   QueryResult SelectCovering(std::span<const cell::CellId> covering,
                              const AggregateRequest& request) const;
+  /// Allocation-free variant of SelectCovering: folds into a caller-owned
+  /// result whose `values` capacity is reused. With a warmed result object,
+  /// a pre-computed covering, and a request of at most
+  /// Accumulator::kInlineSpecs aggregates, the steady state performs zero
+  /// heap allocations (tests/allocation_test.cc asserts this with a
+  /// counting allocator).
+  ///
+  /// @param covering Covering cells, ascending and disjoint.
+  /// @param request  Aggregates to extract.
+  /// @param out      Receives the result (count + one value per aggregate).
+  void SelectCoveringInto(std::span<const cell::CellId> covering,
+                          const AggregateRequest& request,
+                          QueryResult* out) const;
 
   /// COUNT via the per-shard range-sum algorithm (Listing 2), summed over
   /// overlapping shards.
@@ -266,12 +278,13 @@ class BlockSet {
   /// Batched SELECT: covers all polygons, then runs one task per
   /// (query, overlapping shard) pair on the pool and merges the partial
   /// accumulators in shard order. Results are deterministic regardless of
-  /// scheduling: partials are merged in a fixed order. `batch.request`
-  /// must be non-null. With a null pool the batch runs inline.
+  /// scheduling: partials are merged in a fixed order. With a null pool
+  /// the batch runs inline.
   ///
   /// @param batch Queries plus their shared request.
   /// @param pool  Optional pool for the fan-out; null runs inline.
   /// @return One QueryResult per batch query, in batch order.
+  /// @throws std::invalid_argument when `batch.request` is null.
   std::vector<QueryResult> ExecuteBatch(const QueryBatch& batch,
                                         util::ThreadPool* pool) const;
 
@@ -325,15 +338,13 @@ class BlockSet {
   /// Integrates newly arriving tuples into the sharded view (Section 5,
   /// lifted to the shard level): tuples are routed to their shard by
   /// Hilbert key via the manifest boundaries, each shard's sub-batch
-  /// commits under that shard's writer lock (block state and cache trie
-  /// publish as one logical unit per shard), and tuples for new regions
+  /// commits under that shard's writer lock, and tuples for new regions
   /// accumulate in the shard's pending buffer until the threshold triggers
   /// a batched merge-rebuild.
   ///
-  /// Safe concurrently with every `const` read path — Select/Count,
-  /// SelectCached/SelectCoveringCached, batched execution — with no
-  /// external serialization: readers pin per-shard snapshots and never
-  /// block. Concurrent ApplyBatchUpdate calls are also safe (shard commit
+  /// Safe concurrently with every `const` read path — Select/Count, their
+  /// covering variants, batched execution — with no external
+  /// serialization: readers pin per-shard snapshots and never block. Concurrent ApplyBatchUpdate calls are also safe (shard commit
   /// locks stripe the writers), though per-shard commit order then depends
   /// on scheduling. With `pool`, per-shard commits of this batch run in
   /// parallel; results are independent of the pool (shards are disjoint).
@@ -449,8 +460,7 @@ class BlockSet {
   /// pending-updates section holding every still-buffered new-region tuple
   /// — buffered tuples survive save → load verbatim. The byte-level layout
   /// is specified in docs/FORMAT.md. Writing is deterministic: the same
-  /// set always produces identical bytes. The optional query cache
-  /// (EnableCache) is not persisted.
+  /// set always produces identical bytes.
   ///
   /// @param out Destination stream (open in binary mode).
   /// @throws std::logic_error when the set has no manifest metadata (a
@@ -461,9 +471,9 @@ class BlockSet {
   void WriteTo(std::ostream& out) const;
 
   /// Loads a set written by WriteTo. The loaded set is *detached*: all
-  /// SELECT/COUNT entry points (including the batched and cached paths)
-  /// answer bit-identically to the set that was saved, without the base
-  /// rows; refinement throws until AttachDataset re-binds the dataset.
+  /// SELECT/COUNT entry points (including the batched paths) answer
+  /// bit-identically to the set that was saved, without the base rows;
+  /// refinement throws until AttachDataset re-binds the dataset.
   /// Every manifest field and every shard payload is checksum-verified
   /// before use, so corrupt or truncated input fails cleanly.
   ///
@@ -491,10 +501,10 @@ class BlockSet {
   /// to ReadFrom of the same file, and accepts updates; shards touched by
   /// an update (or holding pending tuples) become non-evictable, because
   /// their in-memory state has diverged from the mapped payload. With a
-  /// governor, faulted payloads and cache tries are evicted back to
-  /// "mapped, not materialized" when the byte budget is exceeded; eviction
-  /// unpublishes through the normal snapshot grace period, so readers
-  /// holding pinned states are never invalidated.
+  /// governor, faulted payloads are evicted back to "mapped, not
+  /// materialized" when the byte budget is exceeded; eviction unpublishes
+  /// through the normal snapshot grace period, so readers holding pinned
+  /// states are never invalidated.
   ///
   /// The file must outlive... nothing: the set owns the mapping. The
   /// caller must not truncate or rewrite the file in place while the set
@@ -590,85 +600,6 @@ class BlockSet {
   ///     AttachDataset validates against).
   uint64_t total_rows() const { return total_rows_; }
 
-  /// -- Cached path ---------------------------------------------------------
-
-  /// Wraps every shard in a GeoBlockQC with `options`. Queries through
-  /// SelectCached probe the per-shard tries entirely lock-free: each shard
-  /// publishes an immutable trie snapshot behind an atomic pointer and
-  /// records statistics in relaxed-atomic tables, so any number of reader
-  /// threads proceed without serializing — per shard or otherwise. Works
-  /// on attached and detached sets alike (the cache reads only cell
-  /// aggregates). Not thread-safe against queries itself (enable the
-  /// cache before serving).
-  ///
-  /// @param options Cache budget/ranking configuration.
-  void EnableCache(const GeoBlockQC::Options& options);
-  /// @return True once EnableCache has been called.
-  bool cache_enabled() const { return !cached_.empty(); }
-
-  /// SELECT through the per-shard caches (falls back to SelectCovering
-  /// when the cache is disabled). `const`, lock-free, and thread-safe;
-  /// the covering and shard-routing *result* vectors live in reused
-  /// thread-local buffers (the coverer's internal working set still
-  /// allocates transiently while computing a covering).
-  ///
-  /// @param polygon Query polygon.
-  /// @param request Aggregates to extract.
-  /// @return Same result Select would produce.
-  QueryResult SelectCached(const geo::Polygon& polygon,
-                           const AggregateRequest& request) const;
-  /// Cached SELECT over a pre-computed covering. `const`, lock-free, and
-  /// thread-safe.
-  ///
-  /// @param covering Covering cells, ascending and disjoint.
-  /// @param request  Aggregates to extract.
-  /// @return Same result SelectCovering would produce.
-  QueryResult SelectCoveringCached(std::span<const cell::CellId> covering,
-                                   const AggregateRequest& request) const;
-  /// Allocation-free variant of SelectCoveringCached: folds into a
-  /// caller-owned result whose `values` capacity is reused. With a warmed
-  /// result object, a pre-computed covering, and a request of at most
-  /// Accumulator::kInlineSpecs aggregates, the steady state performs zero
-  /// heap allocations (the serving hot path; tests/allocation_test.cc
-  /// asserts this with a counting allocator).
-  ///
-  /// @param covering Covering cells, ascending and disjoint.
-  /// @param request  Aggregates to extract.
-  /// @param out      Receives the result (count + one value per aggregate).
-  void SelectCoveringCachedInto(std::span<const cell::CellId> covering,
-                                const AggregateRequest& request,
-                                QueryResult* out) const;
-
-  /// Re-ranks and refills every shard trie from its recorded statistics,
-  /// publishing each shard's new snapshot with one atomic pointer swap.
-  /// Readers are never blocked. With a pool the per-shard rebuilds run
-  /// concurrently (they are independent); null rebuilds inline.
-  ///
-  /// @param pool Optional pool for the per-shard fan-out.
-  void RebuildCaches(util::ThreadPool* pool = nullptr);
-
-  /// Sum of the per-shard cache counters. Safe to call concurrently with
-  /// readers: each field is exact and monotone between resets, but fields
-  /// are sampled one after another, so a merge taken mid-query is
-  /// point-in-time-ish (probes may run ahead of hits + misses); once
-  /// queries quiesce the identity probes == full + partial + misses is
-  /// exact, provided no reset raced a still-in-flight query (see
-  /// CacheCounterPlane).
-  ///
-  /// @return Merged counter snapshot.
-  CacheCounters MergedCacheCounters() const;
-  /// Zeroes every shard's cache counters. Safe concurrently with readers;
-  /// increments racing with the reset land before or after it.
-  void ResetCacheCounters();
-
-  /// Per-shard cache accessor (tests and benchmarks; e.g. to compare the
-  /// lock-free path against an externally locked baseline).
-  ///
-  /// @param i Shard index in [0, num_shards()).
-  /// @return The shard's GeoBlockQC.
-  /// @throws std::logic_error when the cache is not enabled.
-  const GeoBlockQC& cached_shard(size_t i) const;
-
   /// Indices of shards whose `[min_cell, max_cell]` range intersects the
   /// (sorted, disjoint) covering; exposed for tests and benchmarks.
   ///
@@ -754,8 +685,7 @@ class BlockSet {
     /// stale outright, so a re-fault would resurrect old data.
     std::atomic<bool> dirty{false};
     std::atomic<uint64_t> faults{0};
-    MemoryGovernor::EntryHandle entry;       ///< payload residency charge
-    MemoryGovernor::EntryHandle trie_entry;  ///< cache-trie charge
+    MemoryGovernor::EntryHandle entry;  ///< payload residency charge
   };
 
   /// The read-path unit of the lazy plane: returns a pinned, guaranteed
@@ -769,19 +699,23 @@ class BlockSet {
   std::shared_ptr<const BlockState> ResidentState(size_t s,
                                                   bool rebalance) const;
 
+  /// The one per-shard read of every query path (SelectCoveringInto,
+  /// CountCovering, ExecuteBatch): pins one state version of shard `s` and
+  /// returns `read(state)`. Eager sets pin through the block's epoch
+  /// ReadGuard (no refcount traffic); lazy sets pin through ResidentState,
+  /// which faults a cold shard in first, so `read` never sees a tombstone.
+  /// Defined in block_set.cc, the only translation unit that calls it.
+  template <typename Read>
+  auto ReadShard(size_t s, const Read& read) const;
+
   /// Deserializes shard `s`'s payload from the mapping and publishes it.
   /// Caller holds residency_[s]->mu; the shard must be cold.
   void MaterializeShardLocked(size_t s) const;
 
-  /// (Re-)registers shard `s`'s payload entry with the governor. Captures
-  /// the shard's writer record, so EnableCache (which replaces writers)
-  /// re-registers.
+  /// Registers shard `s`'s payload entry with the governor.
   void RegisterShardEntry(size_t s);
-  /// Registers shard `s`'s cache trie with the governor (lazy sets with a
-  /// cache only).
-  void RegisterTrieEntry(size_t s);
   /// Unregisters every governor entry (waits out in-flight evictions);
-  /// destructor / move-assign / EnableCache teardown.
+  /// destructor / move-assign teardown.
   void UnregisterGovernorEntries();
 
   /// Parses and fully cross-checks one shard payload (CRC, structure,
@@ -819,13 +753,12 @@ class BlockSet {
                         std::atomic<size_t>* buffered,
                         std::atomic<size_t>* rebuilds);
 
-  /// Merges `writer`'s pending buffer into a fresh state of `block` (and
-  /// patches `qc`'s trie when non-null). Caller must hold writer->mu.
-  /// Static — background merge tasks capture the stable per-shard pointers
-  /// plus the gate, never the (movable) set itself.
+  /// Merges `writer`'s pending buffer into a fresh state of `block`.
+  /// Caller must hold writer->mu. Static — background merge tasks capture
+  /// the stable per-shard pointers plus the gate, never the (movable) set
+  /// itself.
   /// @return True when there was anything to merge.
-  static bool MergePendingLocked(ShardWriter* writer, GeoBlock* block,
-                                 GeoBlockQC* qc);
+  static bool MergePendingLocked(ShardWriter* writer, GeoBlock* block);
 
   /// Flips every writer gate dead (destructor / move-assign teardown).
   void NeutralizeWriters();
@@ -833,12 +766,9 @@ class BlockSet {
   int level_ = 0;
   geo::Projection projection_;
   // One block per shard. unique_ptr keeps each block's address stable so
-  // the per-shard GeoBlockQCs and queued background merges stay valid
-  // across set moves.
+  // queued background merges and governor callbacks stay valid across set
+  // moves.
   std::vector<std::unique_ptr<GeoBlock>> blocks_;
-  // One lock-free GeoBlockQC per shard (unique_ptr: the QC pins its
-  // address — it owns atomics and the stats slot table).
-  std::vector<std::unique_ptr<GeoBlockQC>> cached_;
   // The update plane: one writer record per shard plus the shared policy.
   std::vector<std::shared_ptr<ShardWriter>> writers_;
   UpdateOptions update_options_;

@@ -104,8 +104,8 @@ BlockSet BlockSet::OpenMapped(const std::string& path,
   set.residency_.reserve(k);
   for (size_t i = 0; i < k; ++i) {
     // Each shard starts as a tombstone shell: "mapped, not materialized".
-    // The block object (and its snapshot cell) is the one readers, caches,
-    // and queued merges will hold for the set's whole life — fault-in and
+    // The block object (and its snapshot cell) is the one readers and
+    // queued merges will hold for the set's whole life — fault-in and
     // eviction republish INTO it, never replace it.
     auto shell = std::make_unique<GeoBlock>();
     shell->EvictState();
@@ -232,10 +232,6 @@ uint64_t BlockSet::shard_fault_count() const {
 void BlockSet::RegisterShardEntry(size_t s) {
   if (governor_ == nullptr || source_ == nullptr) return;
   const std::shared_ptr<ShardResidency> res = residency_[s];
-  if (res->entry != nullptr) {
-    governor_->Unregister(res->entry);
-    res->entry = nullptr;
-  }
   GeoBlock* block = blocks_[s].get();
   const std::shared_ptr<ShardWriter> writer = writers_[s];
   // Callbacks capture the stable per-shard objects (block address, writer
@@ -251,7 +247,7 @@ void BlockSet::RegisterShardEntry(size_t s) {
       [block, writer, res] {
         // Lock order: (governor cb_mu) -> w.mu -> r.mu.
         std::lock_guard<std::mutex> w_lock(writer->mu);
-        if (!writer->alive) return false;  // set torn down or re-wired
+        if (!writer->alive) return false;  // set torn down
         if (writer->pending_count.load(std::memory_order_relaxed) > 0) {
           // Unmerged buffered tuples need the resident state to merge
           // into; evicting now would lose them at merge time.
@@ -271,25 +267,6 @@ void BlockSet::RegisterShardEntry(size_t s) {
       });
 }
 
-void BlockSet::RegisterTrieEntry(size_t s) {
-  if (governor_ == nullptr || source_ == nullptr || !cache_enabled()) return;
-  const std::shared_ptr<ShardResidency> res = residency_[s];
-  if (res->trie_entry != nullptr) {
-    governor_->Unregister(res->trie_entry);
-    res->trie_entry = nullptr;
-  }
-  const GeoBlockQC* qc = cached_[s].get();
-  res->trie_entry = governor_->Register(
-      "trie:" + std::to_string(s), [qc] { return qc->TrieBytes(); },
-      [qc] {
-        // The trie is a pure accelerator over the block state: dropping
-        // it can never lose data, so trie eviction always succeeds (the
-        // next RebuildCache repopulates it from statistics).
-        qc->DropTrie();
-        return true;
-      });
-}
-
 void BlockSet::UnregisterGovernorEntries() {
   if (governor_ == nullptr) return;
   for (const std::shared_ptr<ShardResidency>& res : residency_) {
@@ -297,10 +274,6 @@ void BlockSet::UnregisterGovernorEntries() {
     if (res->entry != nullptr) {
       governor_->Unregister(res->entry);
       res->entry = nullptr;
-    }
-    if (res->trie_entry != nullptr) {
-      governor_->Unregister(res->trie_entry);
-      res->trie_entry = nullptr;
     }
   }
 }

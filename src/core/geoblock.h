@@ -178,7 +178,7 @@ class StateArena {
     while (!spares_.empty()) {
       std::shared_ptr<const BlockState> s = std::move(spares_.back());
       spares_.pop_back();
-      if (s.use_count() == 1) {
+      if (SoleOwner(s)) {
         return std::const_pointer_cast<BlockState>(std::move(s));
       }
     }
@@ -191,6 +191,17 @@ class StateArena {
   void Clear() { spares_.clear(); }
 
  private:
+  /// True when `s` is the last reference to a retired version (no new pin
+  /// can appear: it is unpublished and past its grace period). use_count()
+  /// is only a relaxed load, so it alone does not order a reader's last
+  /// reads of the state before the commit's writes into it; the copy's
+  /// increment of the same count (an acq_rel RMW in libstdc++) does.
+  static bool SoleOwner(const std::shared_ptr<const BlockState>& s) {
+    if (s.use_count() != 1) return false;
+    [[maybe_unused]] const std::shared_ptr<const BlockState> sync = s;
+    return true;
+  }
+
   static constexpr size_t kMaxSpares = 4;
   std::vector<std::shared_ptr<const BlockState>> spares_;
 };

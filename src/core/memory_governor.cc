@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 namespace geoblocks::core {
 
@@ -58,29 +59,34 @@ void MemoryGovernor::EnsureBudget() {
     std::lock_guard<std::mutex> lock(mu_);
     candidates = entries_;
   }
-  // Refresh every charge first: sizes drift between scans (trie rebuilds
-  // grow, merges shrink) and stale charges would mis-rank victims.
+  // Refresh every charge first: sizes drift between scans (merges grow
+  // states, evictions shrink them) and stale charges would mis-rank
+  // victims.
   for (const EntryHandle& e : candidates) UpdateCharge(e);
 
   if (resident_.load(std::memory_order_relaxed) > budget &&
       !candidates.empty()) {
     // Bucketed LRU with hit-count cost tie-break; strict recency breaks
-    // the final tie so the order is total.
-    std::sort(candidates.begin(), candidates.end(),
-              [](const EntryHandle& a, const EntryHandle& b) {
-                const uint64_t la =
-                    a->last_access_.load(std::memory_order_relaxed);
-                const uint64_t lb =
-                    b->last_access_.load(std::memory_order_relaxed);
-                return std::make_tuple(la / kRecencyBucket, a->hits(), la) <
-                       std::make_tuple(lb / kRecencyBucket, b->hits(), lb);
-              });
+    // the final tie so the order is total. The keys are read once, before
+    // sorting: readers keep bumping the access atomics during the scan,
+    // and a comparator whose answers change mid-sort is not a strict weak
+    // order — std::sort may then run off the end of the array.
+    using RankKey = std::tuple<uint64_t, uint64_t, uint64_t>;
+    std::vector<std::pair<RankKey, EntryHandle>> ranked;
+    ranked.reserve(candidates.size());
+    for (EntryHandle& e : candidates) {
+      const uint64_t last = e->last_access_.load(std::memory_order_relaxed);
+      ranked.emplace_back(RankKey{last / kRecencyBucket, e->hits(), last},
+                          std::move(e));
+    }
+    std::sort(ranked.begin(), ranked.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     // Never evict the most recently touched entry: when the budget is
     // smaller than one hot shard, the alternative is fault-evict
     // ping-pong on exactly the shard the current query needs.
-    const EntryHandle mru = candidates.back();
+    const EntryHandle mru = ranked.back().second;
 
-    for (const EntryHandle& e : candidates) {
+    for (const auto& [key, e] : ranked) {
       if (resident_.load(std::memory_order_relaxed) <= budget) break;
       if (e == mru) continue;
       if (e->charge() == 0) continue;  // nothing to reclaim

@@ -2,19 +2,18 @@
 
 /// \file memory_governor.h
 /// The process-wide memory budget behind lazy shard loading
-/// (BlockSet::OpenMapped). Resident resources — materialized BlockState
-/// payloads and GeoBlockQC aggregate tries — register an Entry carrying
-/// three callbacks-worth of state: a size function (current bytes, safe
+/// (BlockSet::OpenMapped). Resident resources — the materialized BlockState
+/// payload of each shard — register an Entry carrying three
+/// callbacks-worth of state: a size function (current bytes, safe
 /// to call from any thread), an evict function (drop the resource back to
 /// its reclaimable form, or refuse), and lock-free access atomics the
 /// read path bumps per query.
 ///
 /// Eviction policy: bucketed LRU with a hit-count cost tie-break. Entries
 /// are ordered by recency bucket (last-access sequence / kRecencyBucket);
-/// within a bucket, the entry with fewer lifetime hits goes first — the
-/// per-shard hit counts mirror the cached plane's QueryStats activity, so
-/// a hot shard that briefly went quiet outlives a cold one of the same
-/// age. The single most-recently-touched entry is never a victim, which
+/// within a bucket, the entry with fewer lifetime hits goes first — every
+/// routed read of a shard counts as a hit, so a hot shard that briefly
+/// went quiet outlives a cold one of the same age. The single most-recently-touched entry is never a victim, which
 /// breaks fault-evict ping-pong when the budget is smaller than one
 /// working-set shard.
 ///

@@ -7,6 +7,7 @@
 #include <random>
 #include <vector>
 
+#include "core/block_qc.h"
 #include "core/block_set.h"
 #include "core/geoblock.h"
 #include "storage/sharded_dataset.h"
@@ -40,12 +41,12 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace geoblocks::core {
 namespace {
 
-/// Steady-state allocation behavior of the two serving hot paths: the
-/// cached SELECT read path (SelectCoveringCachedInto) and the MVCC commit
-/// fast path (ApplyBatchUpdate routed through the per-shard clone-patch
-/// publish). Both must reach zero heap allocations once their reusable
-/// scratch — thread-local routing/classify buffers, the block-state arena,
-/// the recycled trie spare, and the caller's QueryResult — is warm.
+/// Steady-state allocation behavior of the serving hot paths: the SELECT
+/// read path (SelectCoveringInto), the MVCC commit fast path
+/// (ApplyBatchUpdate routed through the per-shard clone-patch publish), and
+/// the single-block cached read (GeoBlockQC). Each must reach zero heap
+/// allocations once its reusable scratch — thread-local routing/classify
+/// buffers, the block-state arena, and the caller's QueryResult — is warm.
 class AllocationTest : public ::testing::Test {
  protected:
   static constexpr int kLevel = 15;
@@ -62,22 +63,6 @@ class AllocationTest : public ::testing::Test {
     shard_options.align_level = kLevel;
     sharded_ = storage::ShardedDataset::Partition(data_, shard_options);
     set_ = BlockSet::Build(sharded_, BlockSetOptions{{kLevel, {}}});
-  }
-
-  /// Enables the cache with interval rebuilds off (the measured windows
-  /// must not race a trie rebuild) and publishes a non-empty trie built
-  /// from a few recorded queries, so reads hit the cache and commits
-  /// exercise the clone-patch path instead of the empty-trie early-out.
-  void WarmCache(std::span<const cell::CellId> covering,
-                 const AggregateRequest& request) {
-    GeoBlockQC::Options copts;
-    copts.threshold = 0.2;
-    copts.rebuild_interval = 0;
-    set_.EnableCache(copts);
-    for (int i = 0; i < 32; ++i) {
-      (void)set_.SelectCoveringCached(covering, request);
-    }
-    set_.RebuildCaches();
   }
 
   /// Tuples located inside already-populated cells of both shards: the
@@ -117,85 +102,121 @@ class AllocationTest : public ::testing::Test {
   BlockSet set_;
 };
 
-TEST_F(AllocationTest, CachedSelectSteadyStateIsAllocationFree) {
+TEST_F(AllocationTest, SelectCoveringIntoSteadyStateIsAllocationFree) {
   const AggregateRequest req = InlineRequest();
   ASSERT_LE(req.size(), Accumulator::kInlineSpecs);
   const auto polygons = workload::Neighborhoods(raw_, 4, 11);
   ASSERT_FALSE(polygons.empty());
   const std::vector<cell::CellId> covering = set_.Cover(polygons[0]);
   ASSERT_FALSE(covering.empty());
-  WarmCache(covering, req);
 
-  // Warm the thread-local scratches (shard routing, trie combine) and the
-  // reused result's values capacity, and pin the expected answer.
+  // Warm the thread-local shard-routing scratch and the reused result's
+  // values capacity, and pin the expected answer.
   QueryResult result;
   for (int i = 0; i < 4; ++i) {
-    set_.SelectCoveringCachedInto(covering, req, &result);
+    set_.SelectCoveringInto(covering, req, &result);
   }
   const QueryResult want = result;
   ASSERT_GT(want.count, 0u);
 
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 200; ++i) {
-    set_.SelectCoveringCachedInto(covering, req, &result);
+    set_.SelectCoveringInto(covering, req, &result);
   }
+  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state SELECT must not allocate";
+  EXPECT_EQ(result.count, want.count);
+  EXPECT_EQ(result.values, want.values);
+}
+
+TEST_F(AllocationTest, CachedSelectSteadyStateIsAllocationFree) {
+  // The single-block cache's lock-free read: trie probe, stats record and
+  // counter bumps are atomics over preallocated tables.
+  const AggregateRequest req = InlineRequest();
+  const auto polygons = workload::Neighborhoods(raw_, 4, 11);
+  ASSERT_FALSE(polygons.empty());
+  const GeoBlock block = GeoBlock::Build(*data_, BlockOptions{kLevel, {}});
+  const std::vector<cell::CellId> covering = block.Cover(polygons[0]);
+  ASSERT_FALSE(covering.empty());
+  // Interval rebuilds off: the measured window must not race a rebuild.
+  const GeoBlockQC qc(&block, GeoBlockQC::Options{0.2, 0});
+  const auto select_into = [&](QueryResult* out) {
+    Accumulator acc(&req);
+    qc.CombineCovering(covering, &acc);
+    acc.FinishInto(out);
+  };
+  QueryResult result;
+  for (int i = 0; i < 32; ++i) select_into(&result);
+  qc.RebuildCache();
+  ASSERT_GT(qc.trie_snapshot()->num_cached(), 0u);
+  select_into(&result);
+  const QueryResult want = result;
+  const CacheCounters warm = qc.counters();
+
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 200; ++i) select_into(&result);
   const uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "steady-state cached SELECT must not allocate";
   EXPECT_EQ(result.count, want.count);
   EXPECT_EQ(result.values, want.values);
+  EXPECT_GT(qc.counters().full_hits, warm.full_hits) << "reads never hit";
 }
 
 TEST_F(AllocationTest, CommitFastPathSteadyStateIsAllocationFree) {
+  // The serving mix: routed commits interleaved with SELECTs over a
+  // covering. Readers pin (and release) each shard's current state while
+  // the commits clone-patch-publish successors through the state arenas.
   const AggregateRequest req = InlineRequest();
   const auto polygons = workload::Neighborhoods(raw_, 2, 5);
   ASSERT_FALSE(polygons.empty());
   const std::vector<cell::CellId> covering = set_.Cover(polygons[0]);
-  WarmCache(covering, req);
 
   const auto batch = InCellBatch(64, 7);
-  // Warm: the per-block state arenas and per-shard trie spares fill over
-  // the first few commits (each publish retires the predecessor into its
-  // recycler), and the routing/classify thread-locals reach capacity.
+  // Warm: the per-block state arenas fill over the first few commits (each
+  // publish retires the predecessor into its recycler), and the routing /
+  // classify thread-locals and the result's values reach capacity.
+  QueryResult result;
   for (int i = 0; i < 8; ++i) {
     (void)set_.ApplyBatchUpdate(batch);
+    set_.SelectCoveringInto(covering, req, &result);
   }
   ASSERT_EQ(set_.PendingUpdateCount(), 0u) << "batch must be in-cell only";
+  const uint64_t warm_count = result.count;
 
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
   size_t applied = 0;
   constexpr int kCommits = 32;
   for (int i = 0; i < kCommits; ++i) {
     applied += set_.ApplyBatchUpdate(batch).applied;
+    set_.SelectCoveringInto(covering, req, &result);
   }
   const uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "steady-state commit must not allocate";
   EXPECT_EQ(applied, kCommits * batch.size());
-
-  // The commits really landed: the covering's count grew by the tuples the
-  // measured (and warmup) commits dropped into covered cells.
-  const QueryResult post = set_.SelectCoveringCached(covering, req);
-  EXPECT_GE(post.count, 0u);
+  // The reads saw the commits land (counts only ever grow).
+  EXPECT_GE(result.count, warm_count);
 }
 
 TEST_F(AllocationTest, UncachedCommitFastPathIsAllocationFreeToo) {
-  // Without a cache the per-shard commit goes straight to
-  // GeoBlock::ApplyBatchUpdate: the state arena alone must make the
-  // clone-patch-publish loop allocation-free.
+  // The per-shard step in isolation: GeoBlock::ApplyBatchUpdate on one
+  // unsharded block over the same rows. The state arena alone must make
+  // the clone-patch-publish loop allocation-free.
+  GeoBlock block = GeoBlock::Build(*data_, BlockOptions{kLevel, {}});
   const auto batch = InCellBatch(48, 13);
   for (int i = 0; i < 8; ++i) {
-    (void)set_.ApplyBatchUpdate(batch);
+    (void)block.ApplyBatchUpdate(batch);
   }
-  ASSERT_EQ(set_.PendingUpdateCount(), 0u);
 
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
   size_t applied = 0;
   constexpr int kCommits = 32;
   for (int i = 0; i < kCommits; ++i) {
-    applied += set_.ApplyBatchUpdate(batch).applied;
+    applied += block.ApplyBatchUpdate(batch).applied;
   }
   const uint64_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u) << "uncached commit steady state allocated";
+  EXPECT_EQ(after - before, 0u) << "per-shard commit steady state allocated";
   EXPECT_EQ(applied, kCommits * batch.size());
 }
 

@@ -185,6 +185,18 @@ TEST_F(BlockQCTest, StatsAreRecordedPerCoveringCell) {
   EXPECT_EQ(qc.stats().num_distinct_cells(), overlapping);
 }
 
+TEST_F(BlockQCTest, StatDropsSurfaceInCounters) {
+  // An undersized QueryStats table loses recordings silently at the stats
+  // layer; counters() must make that loss observable so operators can
+  // tell "cold cache" from "stats table too small".
+  GeoBlockQC qc(block_, GeoBlockQC::Options{0.05, 0, /*stats_capacity=*/2});
+  const AggregateRequest req = SomeRequest();
+  for (const geo::Polygon& poly : *polygons_) qc.Select(poly, req);
+  EXPECT_GT(qc.counters().stat_drops, 0u)
+      << "dropped stats recordings must be visible";
+  EXPECT_EQ(qc.counters().stat_drops, qc.stats().dropped());
+}
+
 TEST_F(BlockQCTest, MemoryIncludesTrie) {
   GeoBlockQC qc(block_, GeoBlockQC::Options{0.10, 0});
   const AggregateRequest req = SomeRequest();

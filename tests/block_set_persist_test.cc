@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/block_qc.h"
 #include "core/block_set.h"
 #include "core/geoblock.h"
 #include "core/serialize.h"
@@ -179,20 +180,28 @@ TEST_F(BlockSetPersistTest, ReserializationIsByteIdentical) {
 TEST_F(BlockSetPersistTest, LoadedSetSupportsBatchAndCachePaths) {
   // Each execution path must answer bit-identically to the same path on
   // the pre-save set (batch-vs-sequential is only near-equal by contract,
-  // so compare like with like).
-  BlockSet set = BuildSet(4);
-  BlockSet loaded = Deserialized(Serialized(set));
+  // so compare like with like): batched, allocation-free covering, COUNT,
+  // and the single-block query cache wrapped around a detached shard.
+  const BlockSet set = BuildSet(4);
+  const BlockSet loaded = Deserialized(Serialized(set));
   const AggregateRequest req = Request();
   const core::QueryBatch batch = core::QueryBatch::Of(*polygons_, &req);
   const auto want_batch = set.ExecuteBatch(batch, nullptr);
   const auto got_batch = loaded.ExecuteBatch(batch, nullptr);
-  set.EnableCache({});
-  loaded.EnableCache({});
+  const core::GeoBlockQC want_qc(&set.shard(1), {});
+  const core::GeoBlockQC got_qc(&loaded.shard(1), {});
+  QueryResult got_into;
   for (size_t i = 0; i < polygons_->size(); ++i) {
     ASSERT_EQ(got_batch[i].count, want_batch[i].count);
     ASSERT_EQ(got_batch[i].values, want_batch[i].values);
-    const QueryResult want_cached = set.SelectCached((*polygons_)[i], req);
-    const QueryResult got_cached = loaded.SelectCached((*polygons_)[i], req);
+    const auto covering = set.Cover((*polygons_)[i]);
+    const QueryResult want = set.SelectCovering(covering, req);
+    loaded.SelectCoveringInto(covering, req, &got_into);
+    ASSERT_EQ(got_into.count, want.count);
+    ASSERT_EQ(got_into.values, want.values);
+    ASSERT_EQ(loaded.CountCovering(covering), set.CountCovering(covering));
+    const QueryResult want_cached = want_qc.SelectCovering(covering, req);
+    const QueryResult got_cached = got_qc.SelectCovering(covering, req);
     ASSERT_EQ(got_cached.count, want_cached.count);
     ASSERT_EQ(got_cached.values, want_cached.values);
   }

@@ -1,18 +1,22 @@
-// Multithreaded stress suite for the lock-free cached read path: N reader
-// threads hammer mixed SELECT/COUNT workloads against a BlockSet's per-shard
-// GeoBlockQC caches while rebuilds publish new trie snapshots underneath
-// them. Run under ThreadSanitizer in CI (GEOBLOCKS_TSAN).
+// Multithreaded stress suite for the lock-free read paths. Run under
+// ThreadSanitizer in CI (GEOBLOCKS_TSAN).
 //
-// The correctness contract being pinned:
+// The single-block query cache (GeoBlockQC): N reader threads hammer mixed
+// SELECT/COUNT workloads while rebuilds publish new trie snapshots
+// underneath them. The contract being pinned:
 //  * For a *frozen* snapshot (no rebuild between queries), concurrent
 //    cached SELECTs are bit-identical to a single-threaded pass — the read
 //    path has no mode where scheduling can change an answer.
 //  * Under concurrent rebuilds, every SELECT still sees exactly one
-//    snapshot per shard probe, so counts are exact and values match the
-//    uncached answer to last-ulp FP tolerance (cached cells fold
-//    pre-merged sums); COUNT bypasses the cache and is always exact.
-//  * Counter accounting is exact after quiescing; merged counters are
-//    monotone between resets even when sampled mid-flight.
+//    snapshot, so counts are exact and values match the uncached answer to
+//    last-ulp FP tolerance (cached cells fold pre-merged sums); COUNT
+//    bypasses the cache and is always exact.
+//  * Counter accounting is exact after quiescing; counters are monotone
+//    between resets even when sampled mid-flight.
+//
+// The sharded engine (BlockSet): SelectCovering/CountCovering concurrent
+// with striped update commits, new-region merges and the rebuild pool
+// (UpdatePlaneStressTest below).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/block_qc.h"
 #include "core/block_set.h"
 #include "util/thread_pool.h"
 #include "workload/datagen.h"
@@ -58,15 +63,18 @@ class ConcurrencyStressTest : public ::testing::Test {
     shard_options.align_level = kLevel;
     sharded_ = new storage::ShardedDataset(
         storage::ShardedDataset::Partition(*data_, shard_options));
+    block_ = new GeoBlock(GeoBlock::Build(*data_, {kLevel, {}}));
     polygons_ = new std::vector<geo::Polygon>(
         workload::Neighborhoods(*raw_, 24, 5));
   }
   static void TearDownTestSuite() {
     delete polygons_;
+    delete block_;
     delete sharded_;
     delete data_;
     delete raw_;
     polygons_ = nullptr;
+    block_ = nullptr;
     sharded_ = nullptr;
     data_ = nullptr;
     raw_ = nullptr;
@@ -91,38 +99,51 @@ class ConcurrencyStressTest : public ::testing::Test {
     return coverings;
   }
 
+  static std::vector<std::vector<cell::CellId>> CoverAll(
+      const GeoBlock& block) {
+    std::vector<std::vector<cell::CellId>> coverings;
+    for (const geo::Polygon& poly : *polygons_) {
+      coverings.push_back(block.Cover(poly));
+    }
+    return coverings;
+  }
+
   static storage::PointTable* raw_;
   static storage::SortedDataset* data_;
   static storage::ShardedDataset* sharded_;
+  // One unsharded block over the same rows: the GeoBlockQC cases wrap it
+  // (read-only — cache writers never touch the block state).
+  static GeoBlock* block_;
   static std::vector<geo::Polygon>* polygons_;
 };
 
 storage::PointTable* ConcurrencyStressTest::raw_ = nullptr;
 storage::SortedDataset* ConcurrencyStressTest::data_ = nullptr;
 storage::ShardedDataset* ConcurrencyStressTest::sharded_ = nullptr;
+GeoBlock* ConcurrencyStressTest::block_ = nullptr;
 std::vector<geo::Polygon>* ConcurrencyStressTest::polygons_ = nullptr;
 
 TEST_F(ConcurrencyStressTest, FrozenSnapshotIsBitIdenticalAcrossThreads) {
-  // Warm the caches deterministically, freeze them (no rebuild interval),
+  // Warm the cache deterministically, freeze it (no rebuild interval),
   // and require every concurrent reader to reproduce the single-threaded
   // pass bit for bit — SELECT values compared with ==, not tolerance.
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
-  set.EnableCache(GeoBlockQC::Options{0.10, /*rebuild_interval=*/0});
+  const GeoBlockQC qc(block_, GeoBlockQC::Options{0.10, /*rebuild_interval=*/0});
   const AggregateRequest req = Request();
-  const auto coverings = CoverAll(set);
+  const auto coverings = CoverAll(*block_);
 
   for (int round = 0; round < 2; ++round) {
     for (const auto& covering : coverings) {
-      set.SelectCoveringCached(covering, req);
+      qc.SelectCovering(covering, req);
     }
-    set.RebuildCaches();
+    qc.RebuildCache();
   }
+  ASSERT_GT(qc.trie_snapshot()->num_cached(), 0u);
 
   std::vector<QueryResult> want_select;
   std::vector<uint64_t> want_count;
   for (const auto& covering : coverings) {
-    want_select.push_back(set.SelectCoveringCached(covering, req));
-    want_count.push_back(set.CountCovering(covering));
+    want_select.push_back(qc.SelectCovering(covering, req));
+    want_count.push_back(block_->CountCovering(covering));
   }
 
   constexpr size_t kRounds = 8;
@@ -134,9 +155,9 @@ TEST_F(ConcurrencyStressTest, FrozenSnapshotIsBitIdenticalAcrossThreads) {
       for (size_t r = 0; r < kRounds; ++r) {
         for (size_t i = 0; i < coverings.size(); ++i) {
           if ((i + r + t) % 3 == 0) {
-            got_counts[t].push_back(set.CountCovering(coverings[i]));
+            got_counts[t].push_back(block_->CountCovering(coverings[i]));
           }
-          got[t].push_back(set.SelectCoveringCached(coverings[i], req));
+          got[t].push_back(qc.SelectCovering(coverings[i], req));
         }
       }
     });
@@ -167,24 +188,24 @@ TEST_F(ConcurrencyStressTest, MixedWorkloadWithConcurrentRebuilds) {
   // fresh snapshots and interval-triggered rebuilds fire from the readers
   // themselves. Answers must stay correct throughout: counts exact,
   // values within last-ulp tolerance of the uncached reference.
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
-  set.EnableCache(GeoBlockQC::Options{0.10, /*rebuild_interval=*/16});
+  const GeoBlockQC qc(block_,
+                      GeoBlockQC::Options{0.10, /*rebuild_interval=*/16});
   const AggregateRequest req = Request();
-  const auto coverings = CoverAll(set);
+  const auto coverings = CoverAll(*block_);
 
   std::vector<QueryResult> want_select;
   std::vector<uint64_t> want_count;
   for (const auto& covering : coverings) {
-    want_select.push_back(set.SelectCovering(covering, req));
-    want_count.push_back(set.CountCovering(covering));
+    want_select.push_back(block_->SelectCovering(covering, req));
+    want_count.push_back(block_->CountCovering(covering));
   }
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> checked{0};
   std::thread rebuilder([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      set.RebuildCaches();
-      set.MergedCacheCounters();  // concurrent merged reads must be safe
+      qc.RebuildCache();
+      qc.counters();  // concurrent counter reads must be safe
     }
   });
 
@@ -195,11 +216,10 @@ TEST_F(ConcurrencyStressTest, MixedWorkloadWithConcurrentRebuilds) {
       for (size_t r = 0; r < kRounds; ++r) {
         for (size_t i = 0; i < coverings.size(); ++i) {
           if ((i + t) % 2 == 0) {
-            const uint64_t count = set.CountCovering(coverings[i]);
+            const uint64_t count = block_->CountCovering(coverings[i]);
             ASSERT_EQ(count, want_count[i]) << "reader " << t;
           }
-          const QueryResult got =
-              set.SelectCoveringCached(coverings[i], req);
+          const QueryResult got = qc.SelectCovering(coverings[i], req);
           ASSERT_EQ(got.count, want_select[i].count)
               << "reader " << t << " covering " << i;
           for (size_t v = 0; v < got.values.size(); ++v) {
@@ -218,24 +238,23 @@ TEST_F(ConcurrencyStressTest, MixedWorkloadWithConcurrentRebuilds) {
 
   EXPECT_EQ(checked.load(), kReaders * kRounds * coverings.size());
   // Quiesced: the counter identity must hold exactly.
-  const CacheCounters after = set.MergedCacheCounters();
+  const CacheCounters after = qc.counters();
   EXPECT_EQ(after.probes,
             after.full_hits + after.partial_hits + after.misses);
 }
 
 TEST_F(ConcurrencyStressTest, CounterAccountingExactAfterQuiescing) {
-  // (kReaders + 1) identical passes over cold, frozen tries: every probe
+  // (kReaders + 1) identical passes over a cold, frozen trie: every probe
   // is a miss and the relaxed counters must add up exactly — the lock-free
   // plane loses no increment.
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
-  set.EnableCache(GeoBlockQC::Options{0.05, 0});
+  const GeoBlockQC qc(block_, GeoBlockQC::Options{0.05, 0});
   const AggregateRequest req = Request();
-  const auto coverings = CoverAll(set);
+  const auto coverings = CoverAll(*block_);
 
   for (const auto& covering : coverings) {
-    set.SelectCoveringCached(covering, req);
+    qc.SelectCovering(covering, req);
   }
-  const CacheCounters base = set.MergedCacheCounters();
+  const CacheCounters base = qc.counters();
   ASSERT_GT(base.probes, 0u);
   ASSERT_EQ(base.probes, base.misses);
 
@@ -243,39 +262,39 @@ TEST_F(ConcurrencyStressTest, CounterAccountingExactAfterQuiescing) {
   for (size_t t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
       for (const auto& covering : coverings) {
-        set.SelectCoveringCached(covering, req);
+        qc.SelectCovering(covering, req);
       }
     });
   }
   for (std::thread& t : readers) t.join();
 
-  const CacheCounters after = set.MergedCacheCounters();
+  const CacheCounters after = qc.counters();
   EXPECT_EQ(after.probes, (kReaders + 1) * base.probes);
   EXPECT_EQ(after.misses, after.probes);
 
-  // Stats plane: per-shard distinct cells are unchanged by re-running the
-  // same workload concurrently, and nothing was dropped.
-  for (size_t s = 0; s < set.num_shards(); ++s) {
-    EXPECT_EQ(set.cached_shard(s).stats().dropped(), 0u) << "shard " << s;
-  }
+  // Stats plane: re-running the same workload concurrently drops nothing.
+  EXPECT_EQ(qc.stats().dropped(), 0u);
+  EXPECT_EQ(after.stat_drops, 0u);
 }
 
 TEST_F(ConcurrencyStressTest, MergedCountersAreMonotoneUnderLoad) {
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
-  set.EnableCache(GeoBlockQC::Options{0.05, 0});
+  // counters() merges the counter plane with the stats table's drop count;
+  // sampled mid-flight, every merged field must still be monotone.
+  const GeoBlockQC qc(block_, GeoBlockQC::Options{0.05, 0});
   const AggregateRequest req = Request();
-  const auto coverings = CoverAll(set);
+  const auto coverings = CoverAll(*block_);
 
   std::atomic<bool> stop{false};
   std::thread sampler([&] {
     CacheCounters last;
     while (!stop.load(std::memory_order_relaxed)) {
-      const CacheCounters now = set.MergedCacheCounters();
+      const CacheCounters now = qc.counters();
       // Each field is monotone between resets (and we never reset here).
       ASSERT_GE(now.probes, last.probes);
       ASSERT_GE(now.full_hits, last.full_hits);
       ASSERT_GE(now.partial_hits, last.partial_hits);
       ASSERT_GE(now.misses, last.misses);
+      ASSERT_GE(now.stat_drops, last.stat_drops);
       last = now;
     }
   });
@@ -285,7 +304,7 @@ TEST_F(ConcurrencyStressTest, MergedCountersAreMonotoneUnderLoad) {
     readers.emplace_back([&] {
       for (size_t r = 0; r < 6; ++r) {
         for (const auto& covering : coverings) {
-          set.SelectCoveringCached(covering, req);
+          qc.SelectCovering(covering, req);
         }
       }
     });
@@ -300,18 +319,17 @@ TEST_F(ConcurrencyStressTest, BackgroundPoolRebuildKeepsServing) {
   // a pool, so no query thread ever pays the trie construction. After the
   // pool drains, the cache must be warm and answers unchanged.
   util::ThreadPool pool(2);
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
   GeoBlockQC::Options options;
   options.threshold = 0.10;
   options.rebuild_interval = 8;
   options.rebuild_pool = &pool;
-  set.EnableCache(options);
+  const GeoBlockQC qc(block_, options);
   const AggregateRequest req = Request();
-  const auto coverings = CoverAll(set);
+  const auto coverings = CoverAll(*block_);
 
   std::vector<QueryResult> want;
   for (const auto& covering : coverings) {
-    want.push_back(set.SelectCovering(covering, req));
+    want.push_back(block_->SelectCovering(covering, req));
   }
 
   std::vector<std::thread> readers;
@@ -319,8 +337,7 @@ TEST_F(ConcurrencyStressTest, BackgroundPoolRebuildKeepsServing) {
     readers.emplace_back([&, t] {
       for (size_t r = 0; r < 6; ++r) {
         for (size_t i = 0; i < coverings.size(); ++i) {
-          const QueryResult got =
-              set.SelectCoveringCached(coverings[i], req);
+          const QueryResult got = qc.SelectCovering(coverings[i], req);
           ASSERT_EQ(got.count, want[i].count) << "reader " << t;
         }
       }
@@ -328,16 +345,13 @@ TEST_F(ConcurrencyStressTest, BackgroundPoolRebuildKeepsServing) {
   }
   for (std::thread& t : readers) t.join();
   // Drain pending background rebuilds before inspecting (and before the
-  // set goes out of scope — the documented teardown contract).
+  // QC goes out of scope — the documented teardown contract).
   pool.WaitIdle();
 
-  size_t cached = 0;
-  for (size_t s = 0; s < set.num_shards(); ++s) {
-    cached += set.cached_shard(s).trie_snapshot()->num_cached();
-  }
-  EXPECT_GT(cached, 0u) << "background rebuilds never published a snapshot";
+  EXPECT_GT(qc.trie_snapshot()->num_cached(), 0u)
+      << "background rebuilds never published a snapshot";
   for (size_t i = 0; i < coverings.size(); ++i) {
-    const QueryResult got = set.SelectCoveringCached(coverings[i], req);
+    const QueryResult got = qc.SelectCovering(coverings[i], req);
     ASSERT_EQ(got.count, want[i].count);
     for (size_t v = 0; v < got.values.size(); ++v) {
       ASSERT_NEAR(got.values[v], want[i].values[v],
@@ -350,15 +364,14 @@ TEST_F(ConcurrencyStressTest, ConcurrentResetNeverCorruptsCounters) {
   // Reset racing with readers: fields may be sampled mid-reset, but once
   // everything quiesces a final reset + sequential pass must account
   // exactly (no stuck or corrupted counters).
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
-  set.EnableCache(GeoBlockQC::Options{0.05, 0});
+  const GeoBlockQC qc(block_, GeoBlockQC::Options{0.05, 0});
   const AggregateRequest req = Request();
-  const auto coverings = CoverAll(set);
+  const auto coverings = CoverAll(*block_);
 
   std::atomic<bool> stop{false};
   std::thread resetter([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      set.ResetCacheCounters();
+      qc.ResetCounters();
     }
   });
   std::vector<std::thread> readers;
@@ -366,7 +379,7 @@ TEST_F(ConcurrencyStressTest, ConcurrentResetNeverCorruptsCounters) {
     readers.emplace_back([&] {
       for (size_t r = 0; r < 8; ++r) {
         for (const auto& covering : coverings) {
-          set.SelectCoveringCached(covering, req);
+          qc.SelectCovering(covering, req);
         }
       }
     });
@@ -375,11 +388,11 @@ TEST_F(ConcurrencyStressTest, ConcurrentResetNeverCorruptsCounters) {
   stop.store(true, std::memory_order_relaxed);
   resetter.join();
 
-  set.ResetCacheCounters();
+  qc.ResetCounters();
   for (const auto& covering : coverings) {
-    set.SelectCoveringCached(covering, req);
+    qc.SelectCovering(covering, req);
   }
-  const CacheCounters last = set.MergedCacheCounters();
+  const CacheCounters last = qc.counters();
   EXPECT_GT(last.probes, 0u);
   EXPECT_EQ(last.probes,
             last.full_hits + last.partial_hits + last.misses);
@@ -387,7 +400,7 @@ TEST_F(ConcurrencyStressTest, ConcurrentResetNeverCorruptsCounters) {
 
 // ---------------------------------------------------------------------------
 // The MVCC update plane: BlockSet::ApplyBatchUpdate concurrent with the
-// lock-free read paths, with no external serialization.
+// lock-free SelectCovering/CountCovering, with no external serialization.
 // ---------------------------------------------------------------------------
 
 /// Builds update batches for the update-plane stress tests: in-cell tuples
@@ -443,22 +456,15 @@ class UpdatePlaneStressTest : public ConcurrencyStressTest {
   }
 };
 
-TEST_F(UpdatePlaneStressTest, CachedReadsStayInRangeDuringCommits) {
-  // N readers run cached SELECT + COUNT while a writer thread commits
+TEST_F(UpdatePlaneStressTest, ReadsStayInRangeDuringCommits) {
+  // N readers run SELECT + COUNT while a writer thread commits
   // in-cell batches through BlockSet::ApplyBatchUpdate — no external
   // serialization anywhere. Updates only add tuples, so every concurrent
   // count must land in [pre, pre + total_updates]; after the writer joins,
   // answers must equal a serial re-application oracle bit for bit.
   BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
-  set.EnableCache(GeoBlockQC::Options{0.10, /*rebuild_interval=*/16});
   const AggregateRequest req = Request();
   const auto coverings = CoverAll(set);
-
-  // Warm the cache so the stress exercises hits, partial hits, and misses.
-  for (const auto& covering : coverings) {
-    set.SelectCoveringCached(covering, req);
-  }
-  set.RebuildCaches();
 
   std::vector<uint64_t> pre_count;
   for (const auto& covering : coverings) {
@@ -491,8 +497,7 @@ TEST_F(UpdatePlaneStressTest, CachedReadsStayInRangeDuringCommits) {
           const uint64_t count = set.CountCovering(coverings[i]);
           ASSERT_GE(count, pre_count[i]) << "reader " << t;
           ASSERT_LE(count, pre_count[i] + total_updates) << "reader " << t;
-          const QueryResult got =
-              set.SelectCoveringCached(coverings[i], req);
+          const QueryResult got = set.SelectCovering(coverings[i], req);
           ASSERT_GE(got.count, pre_count[i]) << "reader " << t;
           ASSERT_LE(got.count, pre_count[i] + total_updates)
               << "reader " << t;
@@ -588,12 +593,12 @@ TEST_F(UpdatePlaneStressTest, PinnedSnapshotsBitwiseStableDuringCommits) {
 TEST_F(UpdatePlaneStressTest, NewRegionMergesConcurrentWithReaders) {
   // Writers push batches mixing in-cell and new-region tuples with a low
   // pending threshold, so merge-rebuilds (new cells, shifting shard hulls)
-  // publish while readers hammer the cached path. Readers assert nothing
+  // publish on the rebuild pool while readers hammer SelectCovering and
+  // CountCovering. Readers assert nothing
   // about mid-flight values (routing may lag a merge by design) — the pin
   // is race-freedom plus exact post-quiesce accounting.
   util::ThreadPool pool(2);
   BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
-  set.EnableCache(GeoBlockQC::Options{0.10, /*rebuild_interval=*/32});
   BlockSet::UpdateOptions update_options;
   update_options.pending_rebuild_threshold = 8;
   update_options.rebuild_pool = &pool;
@@ -625,7 +630,7 @@ TEST_F(UpdatePlaneStressTest, NewRegionMergesConcurrentWithReaders) {
       size_t rounds = 0;
       do {
         for (const auto& covering : coverings) {
-          (void)set.SelectCoveringCached(covering, req);
+          (void)set.SelectCovering(covering, req);
           (void)set.CountCovering(covering);
         }
         ++rounds;
@@ -644,15 +649,10 @@ TEST_F(UpdatePlaneStressTest, NewRegionMergesConcurrentWithReaders) {
   EXPECT_EQ(set.CountCovering(all), data_->num_rows() + total);
   EXPECT_EQ(set.PendingUpdateCount(), 0u);
 
-  // And the cache must have stayed consistent with the merged states.
+  // And SELECT must agree with COUNT on the merged states.
   for (const auto& covering : coverings) {
-    const QueryResult base = set.SelectCovering(covering, req);
-    const QueryResult cached = set.SelectCoveringCached(covering, req);
-    ASSERT_EQ(cached.count, base.count);
-    for (size_t v = 0; v < base.values.size(); ++v) {
-      ASSERT_NEAR(cached.values[v], base.values[v],
-                  1e-9 * std::abs(base.values[v]) + 1e-6);
-    }
+    ASSERT_EQ(set.SelectCovering(covering, req).count,
+              set.CountCovering(covering));
   }
 }
 
@@ -661,7 +661,6 @@ TEST_F(UpdatePlaneStressTest, StripedWritersCommitConcurrently) {
   // locks, no coordination) while readers keep running. Counts are exact
   // after quiescing: every applied tuple lands exactly once.
   BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
-  set.EnableCache(GeoBlockQC::Options{0.10, /*rebuild_interval=*/16});
   const AggregateRequest req = Request();
   const auto coverings = CoverAll(set);
 
@@ -686,7 +685,7 @@ TEST_F(UpdatePlaneStressTest, StripedWritersCommitConcurrently) {
       size_t rounds = 0;
       do {
         for (const auto& covering : coverings) {
-          (void)set.SelectCoveringCached(covering, req);
+          (void)set.SelectCovering(covering, req);
         }
         ++rounds;
       } while (writers_done.load(std::memory_order_acquire) < kWriters ||
@@ -699,10 +698,10 @@ TEST_F(UpdatePlaneStressTest, StripedWritersCommitConcurrently) {
   const std::vector<cell::CellId> all{cell::CellId::Root()};
   EXPECT_EQ(set.CountCovering(all),
             data_->num_rows() + kWriters * kBatchesPerWriter * kBatchSize);
-  // Cache/base agreement after the dust settles.
+  // SELECT/COUNT agreement after the dust settles.
   for (const auto& covering : coverings) {
-    ASSERT_EQ(set.SelectCoveringCached(covering, req).count,
-              set.SelectCovering(covering, req).count);
+    ASSERT_EQ(set.SelectCovering(covering, req).count,
+              set.CountCovering(covering));
   }
 }
 

@@ -191,6 +191,18 @@ TEST(CellStatsTest, DiagonalHalvesPerLevel) {
   EXPECT_LT(d17, 500.0);
 }
 
+TEST(LevelForErrorBoundTest, PicksCoarsestSatisfyingLevel) {
+  for (const double bound : {10.0, 100.0, 1000.0, 50000.0}) {
+    const int level = LevelForErrorBound(bound);
+    EXPECT_LE(ApproxCellDiagonalMeters(level), bound);
+    if (level > 0) {
+      EXPECT_GT(ApproxCellDiagonalMeters(level - 1), bound);
+    }
+  }
+  // Impossible bounds clamp to the maximum level.
+  EXPECT_EQ(LevelForErrorBound(0.0), CellId::kMaxLevel);
+}
+
 class CovererPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CovererPropertyTest, RandomPolygonsCoveredExactly) {

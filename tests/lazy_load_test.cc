@@ -22,6 +22,7 @@
 #include "io/update_log.h"
 #include "storage/sharded_dataset.h"
 #include "util/io_shim.h"
+#include "util/thread_pool.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
 
@@ -189,29 +190,33 @@ TEST_F(LazyLoadTest, ShardsFaultInOnFirstRouteOnly) {
   EXPECT_GE(mapped.shard_fault_count(), kShards);
 }
 
-TEST_F(LazyLoadTest, CachedQueriesServeFromMappedSet) {
+TEST_F(LazyLoadTest, BatchAndIntoPathsServeFromMappedSet) {
+  // ExecuteBatch (faults on pool workers) and SelectCoveringInto (faults
+  // on the caller) over a mapped set whose budget holds about one shard,
+  // so shards keep evicting and re-faulting under the reads: every answer
+  // stays bit-identical to the eager twin.
   WriteFile(BuildSet(kShards));
   const BlockSet eager = Eager();
-  BlockSet mapped = BlockSet::OpenMapped(path_);
-  mapped.EnableCache(core::GeoBlockQC::Options{0.10, 0});
+  MemoryGovernor governor(MemoryGovernor::Options{1});
+  const BlockSet mapped =
+      BlockSet::OpenMapped(path_, core::LazyOpenOptions{&governor, nullptr});
   const AggregateRequest req = Request();
-  for (const geo::Polygon& poly : *polygons_) {
-    const auto covering = eager.Cover(poly);
+  const core::QueryBatch batch = core::QueryBatch::Of(*polygons_, &req);
+  util::ThreadPool pool(2);
+  const auto want_batch = eager.ExecuteBatch(batch, nullptr);
+  const auto got_batch = mapped.ExecuteBatch(batch, &pool);
+  ASSERT_EQ(got_batch.size(), want_batch.size());
+  QueryResult got;
+  for (size_t i = 0; i < polygons_->size(); ++i) {
+    ASSERT_EQ(got_batch[i].count, want_batch[i].count);
+    ASSERT_EQ(got_batch[i].values, want_batch[i].values);
+    const auto covering = eager.Cover((*polygons_)[i]);
     const QueryResult want = eager.SelectCovering(covering, req);
-    const QueryResult got = mapped.SelectCoveringCached(covering, req);
-    ASSERT_EQ(want.count, got.count);
-    ASSERT_EQ(want.values.size(), got.values.size());
-    for (size_t i = 0; i < want.values.size(); ++i) {
-      ASSERT_NEAR(want.values[i], got.values[i],
-                  1e-9 * std::abs(want.values[i]) + 1e-9);
-    }
+    mapped.SelectCoveringInto(covering, req, &got);
+    ASSERT_EQ(got.count, want.count);
+    ASSERT_EQ(got.values, want.values);
   }
-  mapped.RebuildCaches();
-  for (const geo::Polygon& poly : *polygons_) {
-    const auto covering = eager.Cover(poly);
-    ASSERT_EQ(eager.CountCovering(covering),
-              mapped.SelectCoveringCached(covering, req).count);
-  }
+  EXPECT_GT(governor.stats().evictions, 0u);
 }
 
 TEST_F(LazyLoadTest, CorruptShardPayloadFaultsTypedAndStaysContained) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -18,15 +19,12 @@ using core::AggFn;
 using core::AggregateRequest;
 using core::BlockSet;
 using core::BlockSetOptions;
-using core::CacheCounters;
 using core::GeoBlock;
 using core::QueryBatch;
 using core::QueryResult;
 
 /// Concurrency-facing behavior of the sharded engine: batched execution
-/// must be deterministic under any scheduling, and the per-shard query
-/// caches must keep exact counter accounting when hammered from many
-/// threads.
+/// must be deterministic under any scheduling.
 class QueryBatchTest : public ::testing::Test {
  protected:
   static constexpr int kLevel = 15;
@@ -179,118 +177,15 @@ TEST_F(QueryBatchTest, ConcurrentMixedWorkloadIsDeterministic) {
   }
 }
 
-TEST_F(QueryBatchTest, CachedPathKeepsExactCounterAccounting) {
-  // A private BlockSet so cache state does not leak across tests.
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
-  set.EnableCache(core::GeoBlockQC::Options{0.05, 0});
-  const AggregateRequest req = Request();
-
-  std::vector<std::vector<cell::CellId>> coverings;
-  for (const geo::Polygon& poly : *polygons_) {
-    coverings.push_back(set.Cover(poly));
-  }
-
-  // Reference pass: cold tries, sequential. Every probe must miss.
-  std::vector<QueryResult> want;
-  for (const auto& covering : coverings) {
-    want.push_back(set.SelectCoveringCached(covering, req));
-  }
-  const CacheCounters base = set.MergedCacheCounters();
-  EXPECT_GT(base.probes, 0u);
-  EXPECT_EQ(base.probes, base.misses);
-  EXPECT_EQ(base.full_hits, 0u);
-  EXPECT_EQ(base.partial_hits, 0u);
-
-  // Stress pass: kClients threads re-run the same covering workload.
-  // Tries are still cold (no rebuild yet), so the per-shard counters must
-  // add up to exactly (kClients + 1) times the reference pass.
-  constexpr size_t kClients = 4;
-  std::vector<std::vector<QueryResult>> got(kClients);
-  std::vector<std::thread> clients;
-  for (size_t t = 0; t < kClients; ++t) {
-    clients.emplace_back([&, t] {
-      for (const auto& covering : coverings) {
-        got[t].push_back(set.SelectCoveringCached(covering, req));
-      }
-    });
-  }
-  for (std::thread& c : clients) c.join();
-
-  for (size_t t = 0; t < kClients; ++t) {
-    ASSERT_EQ(got[t].size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(got[t][i].count, want[i].count) << "client " << t;
-      ASSERT_EQ(got[t][i].values, want[i].values) << "client " << t;
-    }
-  }
-
-  const CacheCounters after = set.MergedCacheCounters();
-  EXPECT_EQ(after.probes, (kClients + 1) * base.probes);
-  EXPECT_EQ(after.misses, after.probes);
-  EXPECT_EQ(after.full_hits + after.partial_hits + after.misses,
-            after.probes);
-
-  // Warm the tries from the recorded statistics: hits must appear, results
-  // must not change.
-  set.RebuildCaches();
-  set.ResetCacheCounters();
-  for (size_t i = 0; i < coverings.size(); ++i) {
-    const QueryResult warm = set.SelectCoveringCached(coverings[i], req);
-    // Warm answers fold pre-merged trie aggregates, so floating-point
-    // sums may differ in the last ulp from the cold path (same tolerance
-    // integration_test.cc grants GeoBlockQC).
-    ExpectNear(warm, want[i], "warm-cache");
-  }
-  const CacheCounters warm = set.MergedCacheCounters();
-  EXPECT_EQ(warm.full_hits + warm.partial_hits + warm.misses, warm.probes);
-  EXPECT_GT(warm.full_hits + warm.partial_hits, 0u)
-      << "rebuilt caches never hit";
-}
-
-TEST_F(QueryBatchTest, SelectCachedWithoutEnableCacheFallsBack) {
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
-  ASSERT_FALSE(set.cache_enabled());
-  const AggregateRequest req = Request();
-  const geo::Polygon& poly = (*polygons_)[0];
-  const QueryResult got = set.SelectCached(poly, req);
-  const QueryResult want = set.Select(poly, req);
-  EXPECT_EQ(got.count, want.count);
-  EXPECT_EQ(got.values, want.values);
-  EXPECT_EQ(set.MergedCacheCounters().probes, 0u);
-}
-
-TEST_F(QueryBatchTest, StatDropsSurfaceInMergedCounters) {
-  // An undersized QueryStats table loses recordings silently at the stats
-  // layer; the merged counters must make that loss observable so operators
-  // can tell "cold cache" from "stats table too small".
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
-  set.EnableCache(
-      core::GeoBlockQC::Options{0.05, 0, /*stats_capacity=*/2});
-  const AggregateRequest req = Request();
-  for (const geo::Polygon& poly : *polygons_) {
-    (void)set.SelectCoveringCached(set.Cover(poly), req);
-  }
-  EXPECT_GT(set.MergedCacheCounters().stat_drops, 0u)
-      << "dropped stats recordings must be visible";
-}
-
-TEST_F(QueryBatchTest, CachedResultsMatchUncached) {
-  BlockSet set = BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}});
-  set.EnableCache(core::GeoBlockQC::Options{0.05, 0});
-  const AggregateRequest req = Request();
-  for (int round = 0; round < 2; ++round) {
-    for (const geo::Polygon& poly : *polygons_) {
-      const auto covering = set.Cover(poly);
-      const QueryResult cached = set.SelectCoveringCached(covering, req);
-      const QueryResult plain = set.SelectCovering(covering, req);
-      ASSERT_EQ(cached.count, plain.count);
-      for (size_t i = 0; i < plain.values.size(); ++i) {
-        ASSERT_NEAR(cached.values[i], plain.values[i],
-                    1e-9 * std::abs(plain.values[i]) + 1e-6);
-      }
-    }
-    set.RebuildCaches();
-  }
+TEST_F(QueryBatchTest, ExecuteBatchRejectsNullRequest) {
+  QueryBatch batch;
+  batch.polygons.push_back(&(*polygons_)[0]);
+  util::ThreadPool pool(2);
+  EXPECT_THROW(set_->ExecuteBatch(batch, nullptr), std::invalid_argument);
+  EXPECT_THROW(set_->ExecuteBatch(batch, &pool), std::invalid_argument);
+  // An empty batch without a request is still malformed.
+  EXPECT_THROW(set_->ExecuteBatch(QueryBatch{}, nullptr),
+               std::invalid_argument);
 }
 
 }  // namespace

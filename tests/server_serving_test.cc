@@ -405,8 +405,8 @@ TEST_F(ServerServingTest, MappedSetServesAndReportsMemoryStats) {
       // cold mapped shard routes through the conservative boundary
       // fallback, so the fold order (not the point membership) can
       // differ from the eager set. Counts are exact; values are
-      // compared to relative tolerance like the cached path. Bit
-      // identity on shared coverings is gated in LazyLoadTest.
+      // compared to relative tolerance. Bit identity on shared
+      // coverings is gated in LazyLoadTest.
       ASSERT_EQ(want.values.size(), got.values.size());
       for (size_t v = 0; v < want.values.size(); ++v) {
         const double tol = 1e-9 * std::max(1.0, std::abs(want.values[v]));

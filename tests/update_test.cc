@@ -438,8 +438,11 @@ TEST_F(BlockSetUpdateTest, ThresholdMergeOnRebuildPool) {
   EXPECT_EQ(set_.PendingUpdateCount(), 0u);
 }
 
-TEST_F(BlockSetUpdateTest, CachedAnswersStayConsistentAfterCommits) {
-  set_.EnableCache(GeoBlockQC::Options{0.25, 0});
+TEST_F(BlockSetUpdateTest, AnswersStayConsistentAfterCommits) {
+  // A mixed batch — in-cell tuples plus new-region tuples that go through
+  // the pending buffers and threshold-triggered merges — must leave the
+  // set answering bit-identically to one block that applied the same
+  // batch and merged its rejected tuples.
   AggregateRequest req;
   req.Add(AggFn::kCount);
   req.Add(AggFn::kSum, 0);
@@ -448,12 +451,6 @@ TEST_F(BlockSetUpdateTest, CachedAnswersStayConsistentAfterCommits) {
   std::vector<std::vector<cell::CellId>> coverings;
   for (const geo::Polygon& poly : polygons) {
     coverings.push_back(set_.Cover(poly));
-  }
-  for (int round = 0; round < 2; ++round) {
-    for (const auto& covering : coverings) {
-      set_.SelectCoveringCached(covering, req);
-    }
-    set_.RebuildCaches();
   }
 
   BlockSet::UpdateOptions options;
@@ -464,17 +461,21 @@ TEST_F(BlockSetUpdateTest, CachedAnswersStayConsistentAfterCommits) {
   batch.insert(batch.end(), fresh.begin(), fresh.end());
   set_.ApplyBatchUpdate(batch);
   set_.FlushPendingUpdates();
+  ASSERT_EQ(set_.PendingUpdateCount(), 0u);
 
-  // Cache answers must equal base answers after the commits (the trie was
-  // patched inside the same critical sections).
+  const GeoBlock::UpdateResult single = single_.ApplyBatchUpdate(batch);
+  ASSERT_EQ(single.rejected.size(), fresh.size());
+  single_.MergeNewRegionTuples(fresh);
+
+  const std::vector<cell::CellId> all{cell::CellId::Root()};
+  EXPECT_EQ(set_.CountCovering(all), data_->num_rows() + batch.size());
+  coverings.push_back(all);
   for (const auto& covering : coverings) {
-    const QueryResult base = set_.SelectCovering(covering, req);
-    const QueryResult cached = set_.SelectCoveringCached(covering, req);
-    ASSERT_EQ(cached.count, base.count);
-    for (size_t i = 0; i < base.values.size(); ++i) {
-      ASSERT_NEAR(cached.values[i], base.values[i],
-                  1e-9 * std::abs(base.values[i]) + 1e-9);
-    }
+    const QueryResult want = single_.SelectCovering(covering, req);
+    const QueryResult got = set_.SelectCovering(covering, req);
+    ASSERT_EQ(got.count, want.count);
+    ASSERT_EQ(got.values, want.values);
+    ASSERT_EQ(set_.CountCovering(covering), got.count);
   }
 }
 
