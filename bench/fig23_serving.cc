@@ -1,7 +1,8 @@
 // Figure 23 (this repo's extension beyond the paper): the stand-alone
 // query server under open-loop load. Real sockets, real framing: N client
 // threads fire SELECT / COUNT / UPDATE frames at a QueryServer whose
-// batcher coalesces them into the engine's batched seams.
+// batcher runs each read as a per-query pool task and coalesces the
+// UPDATEs into one commit per epoch.
 //
 // Two phases per client count:
 //
@@ -199,16 +200,12 @@ void Run() {
     server::QueryServer server(&set, options);
     server.Start();
 
-    // The serial oracle: the server executes through the batched seam,
-    // which is bitwise reproducible across batch compositions, so a
-    // singleton QueryBatch pins each polygon's exact answer.
+    // The serial oracle: the server answers every read with the per-query
+    // Select, so Select pins each polygon's exact answer.
     std::vector<core::QueryResult> expected;
     std::vector<uint64_t> expected_counts;
     for (const geo::Polygon& poly : env.neighborhoods) {
-      core::QueryBatch qb;
-      qb.polygons = {&poly};
-      qb.request = &req;
-      expected.push_back(set.ExecuteBatch(qb, nullptr).front());
+      expected.push_back(set.Select(poly, req));
       expected_counts.push_back(set.Count(poly));
     }
 
@@ -352,14 +349,11 @@ void Run() {
       }
     }
 
-    // Oracle for the degraded state: singleton batches over the frozen set.
+    // Oracle for the degraded state: Select over the frozen set.
     std::vector<core::QueryResult> expected;
     std::vector<uint64_t> expected_counts;
     for (const geo::Polygon& poly : env.neighborhoods) {
-      core::QueryBatch qb;
-      qb.polygons = {&poly};
-      qb.request = &req;
-      expected.push_back(set.ExecuteBatch(qb, nullptr).front());
+      expected.push_back(set.Select(poly, req));
       expected_counts.push_back(set.Count(poly));
     }
 

@@ -108,14 +108,9 @@ BlockSet BlockSet::Build(const storage::ShardedDataset& shards,
   set.total_rows_ = shards.total_rows();
   set.dataset_attached_ = true;
 
-  const auto build_one = [&](size_t i) {
+  util::ForEachIndex(pool, k, [&](size_t i) {
     *set.blocks_[i] = GeoBlock::Build(shards.shard(i), options.block);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(k, build_one);
-  } else {
-    for (size_t i = 0; i < k; ++i) build_one(i);
-  }
+  });
   return set;
 }
 
@@ -310,80 +305,19 @@ std::vector<QueryResult> BlockSet::ExecuteBatch(const QueryBatch& batch,
   if (batch.request == nullptr) {
     throw std::invalid_argument("BlockSet::ExecuteBatch: null request");
   }
-  const AggregateRequest& request = *batch.request;
-  const size_t q = batch.size();
-  std::vector<QueryResult> results(q);
-  if (q == 0) return results;
-
-  // Phase 1: cover all polygons (independent, parallel).
-  std::vector<std::vector<cell::CellId>> coverings(q);
-  const auto cover_one = [&](size_t i) {
-    coverings[i] = Cover(*batch.polygons[i]);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(q, cover_one);
-  } else {
-    for (size_t i = 0; i < q; ++i) cover_one(i);
-  }
-
-  // Phase 2: one task per (query, overlapping shard). Partial accumulators
-  // are pre-allocated per task and merged in a fixed order afterwards, so
-  // the result never depends on scheduling.
-  struct Part {
-    size_t query;
-    size_t shard;
-  };
-  std::vector<Part> parts;
-  std::vector<size_t> first_part(q + 1, 0);
-  std::vector<size_t> shards;
-  for (size_t i = 0; i < q; ++i) {
-    first_part[i] = parts.size();
-    OverlappingShards(coverings[i], &shards);
-    for (const size_t s : shards) {
-      parts.push_back({i, s});
-    }
-  }
-  first_part[q] = parts.size();
-
-  std::vector<Accumulator> partials(parts.size(), Accumulator(&request));
-  // On a lazy set the pool worker that admits a (query, shard) task pays
-  // the shard's fault-in, so cold shards hydrate in parallel across the
-  // work-stealing pool.
-  const auto run_part = [&](size_t p) {
-    const Part& part = parts[p];
-    ReadShard(part.shard, [&](const BlockState& state) {
-      state.CombineCovering(coverings[part.query], &partials[p]);
-    });
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(parts.size(), run_part);
-  } else {
-    for (size_t p = 0; p < parts.size(); ++p) run_part(p);
-  }
-
-  // Phase 3: deterministic merge — per query, shards in ascending order
-  // (parts were emitted that way).
-  for (size_t i = 0; i < q; ++i) {
-    Accumulator acc(&request);
-    for (size_t p = first_part[i]; p < first_part[i + 1]; ++p) {
-      acc.Merge(partials[p]);
-    }
-    results[i] = acc.Finish();
-  }
+  std::vector<QueryResult> results(batch.size());
+  util::ForEachIndex(pool, batch.size(), [&](size_t i) {
+    results[i] = Select(*batch.polygons[i], *batch.request);
+  });
   return results;
 }
 
 std::vector<uint64_t> BlockSet::CountBatch(
     std::span<const geo::Polygon* const> polygons,
     util::ThreadPool* pool) const {
-  const size_t q = polygons.size();
-  std::vector<uint64_t> results(q, 0);
-  const auto count_one = [&](size_t i) { results[i] = Count(*polygons[i]); };
-  if (pool != nullptr) {
-    pool->ParallelFor(q, count_one);
-  } else {
-    for (size_t i = 0; i < q; ++i) count_one(i);
-  }
+  std::vector<uint64_t> results(polygons.size(), 0);
+  util::ForEachIndex(pool, polygons.size(),
+                     [&](size_t i) { results[i] = Count(*polygons[i]); });
   return results;
 }
 
@@ -494,16 +428,11 @@ BlockSet::SetUpdateResult BlockSet::CommitRouted(
   std::atomic<size_t> applied{0};
   std::atomic<size_t> buffered{0};
   std::atomic<size_t> rebuilds{0};
-  const auto commit_one = [&](size_t i) {
+  util::ForEachIndex(pool, busy.size(), [&](size_t i) {
     const size_t s = busy[i];
     CommitShardBatch(s, batch, per_shard[s], &applied, &buffered,
                      &rebuilds);
-  };
-  if (pool != nullptr && scratch.busy.size() > 1) {
-    pool->ParallelFor(scratch.busy.size(), commit_one);
-  } else {
-    for (size_t i = 0; i < scratch.busy.size(); ++i) commit_one(i);
-  }
+  });
 
   result.applied = applied.load(std::memory_order_relaxed);
   result.buffered = buffered.load(std::memory_order_relaxed);

@@ -106,13 +106,13 @@ struct QueryBatch {
 /// The sharded multi-block query engine: one GeoBlock per shard of a
 /// ShardedDataset, built in parallel, queried by routing a polygon covering
 /// to only the shards whose `[min_cell, max_cell]` header ranges overlap it
-/// (the BlockHeader pre-check lifted to the shard level), and merging the
-/// per-shard partial aggregates.
+/// (the BlockHeader pre-check lifted to the shard level), and folding
+/// those shards' cell aggregates in ascending key order.
 ///
 /// Sequential entry points (Select/Count) are `const`, lock-free and
-/// thread-safe; the batched entry points fan out over a ThreadPool. Every
-/// read folds each routed shard under one pinned state version (see
-/// docs/ARCHITECTURE.md, "Concurrency model"). The query cache
+/// thread-safe; the batched entry points run them one query per ThreadPool
+/// task. Every read folds each routed shard under one pinned state version
+/// (see docs/ARCHITECTURE.md, "Concurrency model"). The query cache
 /// (GeoBlockQC) is single-block only: a sharded read's time goes to
 /// covering, not folding, so the set has no cache plane.
 ///
@@ -275,24 +275,26 @@ class BlockSet {
   /// @return Number of tuples in covered cells.
   uint64_t CountCovering(std::span<const cell::CellId> covering) const;
 
-  /// Batched SELECT: covers all polygons, then runs one task per
-  /// (query, overlapping shard) pair on the pool and merges the partial
-  /// accumulators in shard order. Results are deterministic regardless of
-  /// scheduling: partials are merged in a fixed order. With a null pool
-  /// the batch runs inline.
+  /// Batched SELECT: runs Select for every query, one pool task per query.
+  /// Each answer is the per-query fold itself, so it is bit-identical to
+  /// Select (and to a single block) whatever the scheduling. With a null
+  /// pool the batch runs inline.
   ///
   /// @param batch Queries plus their shared request.
   /// @param pool  Optional pool for the fan-out; null runs inline.
   /// @return One QueryResult per batch query, in batch order.
-  /// @throws std::invalid_argument when `batch.request` is null.
+  /// @throws std::invalid_argument when `batch.request` is null; any
+  ///     query's exception (e.g. ShardFaultError) once every query ran.
   std::vector<QueryResult> ExecuteBatch(const QueryBatch& batch,
                                         util::ThreadPool* pool) const;
 
-  /// Batched COUNT over the same fan-out scheme.
+  /// Batched COUNT: runs Count for every polygon, one pool task each.
   ///
   /// @param polygons Query polygons (borrowed).
   /// @param pool     Optional pool; null runs inline.
   /// @return One count per polygon, in input order.
+  /// @throws Any query's exception (e.g. ShardFaultError) once every
+  ///     query ran.
   std::vector<uint64_t> CountBatch(
       std::span<const geo::Polygon* const> polygons,
       util::ThreadPool* pool) const;
@@ -699,11 +701,12 @@ class BlockSet {
   std::shared_ptr<const BlockState> ResidentState(size_t s,
                                                   bool rebalance) const;
 
-  /// The one per-shard read of every query path (SelectCoveringInto,
-  /// CountCovering, ExecuteBatch): pins one state version of shard `s` and
-  /// returns `read(state)`. Eager sets pin through the block's epoch
-  /// ReadGuard (no refcount traffic); lazy sets pin through ResidentState,
-  /// which faults a cold shard in first, so `read` never sees a tombstone.
+  /// The one per-shard read of every query path (SelectCoveringInto and
+  /// CountCovering, which every other read calls): pins one state version
+  /// of shard `s` and returns `read(state)`. Eager sets pin through the
+  /// block's epoch ReadGuard (no refcount traffic); lazy sets pin through
+  /// ResidentState, which faults a cold shard in first, so `read` never
+  /// sees a tombstone.
   /// Defined in block_set.cc, the only translation unit that calls it.
   template <typename Read>
   auto ReadShard(size_t s, const Read& read) const;

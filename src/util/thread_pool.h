@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -193,32 +194,52 @@ class ThreadPool {
   /// helps drain the deques while waiting, so a ParallelFor issued from
   /// inside a pool worker makes progress instead of deadlocking (its
   /// sub-tasks may be executed by other blocked callers or by itself).
+  ///
+  /// A throwing iteration never escapes on a worker (std::terminate) nor
+  /// unwinds the caller while queued iterations still reference `fn`:
+  /// every iteration runs to completion, and only then is the first
+  /// recorded exception rethrown on the calling thread.
   template <typename Fn>
   void ParallelFor(size_t n, const Fn& fn) {
     if (n == 0) return;
     if (n == 1 || num_threads() == 1) {
-      for (size_t i = 0; i < n; ++i) fn(i);
+      std::exception_ptr error;
+      for (size_t i = 0; i < n; ++i) RunCaught(fn, i, &error);
+      if (error) std::rethrow_exception(error);
       return;
     }
     struct Join {
       std::mutex mu;
       std::condition_variable done;
       size_t remaining;
+      std::exception_ptr error;  ///< first failing iteration's exception
     };
     auto join = std::make_shared<Join>();
-    join->remaining = n - 1;
+    join->remaining = n;
+    const auto finish = [](Join& j, std::exception_ptr error) {
+      std::lock_guard<std::mutex> lock(j.mu);
+      if (error && !j.error) j.error = std::move(error);
+      if (--j.remaining == 0) j.done.notify_all();
+    };
     for (size_t i = 1; i < n; ++i) {
-      Submit([&fn, i, join] {
-        fn(i);
-        std::lock_guard<std::mutex> lock(join->mu);
-        if (--join->remaining == 0) join->done.notify_all();
+      Submit([&fn, finish, i, join] {
+        std::exception_ptr error;
+        RunCaught(fn, i, &error);
+        finish(*join, std::move(error));
       });
     }
-    fn(0);
+    std::exception_ptr error;
+    RunCaught(fn, 0, &error);
+    finish(*join, std::move(error));
     for (;;) {
       {
         std::lock_guard<std::mutex> lock(join->mu);
-        if (join->remaining == 0) return;
+        if (join->remaining == 0) {
+          // Moved out under the lock, so the exception is released on
+          // this thread, never by a worker dropping the last Join ref.
+          error = std::move(join->error);
+          break;
+        }
       }
       // Help with queued work (ours or anyone's — tasks are independent)
       // while iterations are still in flight; otherwise wait briefly. The
@@ -230,6 +251,7 @@ class ThreadPool {
                             [&join] { return join->remaining == 0; });
       }
     }
+    if (error) std::rethrow_exception(error);
   }
 
  private:
@@ -283,6 +305,18 @@ class ThreadPool {
       return true;
     }
   };
+
+  /// Runs `fn(i)`, keeping its exception in `*error` unless one is
+  /// already recorded there.
+  template <typename Fn>
+  static void RunCaught(const Fn& fn, size_t i,
+                        std::exception_ptr* error) noexcept {
+    try {
+      fn(i);
+    } catch (...) {
+      if (!*error) *error = std::current_exception();
+    }
+  }
 
   struct TlsSlot {
     ThreadPool* pool = nullptr;
@@ -366,5 +400,16 @@ class ThreadPool {
   std::condition_variable wake_;
   std::condition_variable idle_;
 };
+
+/// Runs `fn(i)` for every i in [0, n): across `pool` (ParallelFor), or
+/// inline on the calling thread when `pool` is null.
+template <typename Fn>
+void ForEachIndex(ThreadPool* pool, size_t n, const Fn& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) fn(i);
+}
 
 }  // namespace geoblocks::util

@@ -179,9 +179,8 @@ TEST_F(BlockSetPersistTest, ReserializationIsByteIdentical) {
 
 TEST_F(BlockSetPersistTest, LoadedSetSupportsBatchAndCachePaths) {
   // Each execution path must answer bit-identically to the same path on
-  // the pre-save set (batch-vs-sequential is only near-equal by contract,
-  // so compare like with like): batched, allocation-free covering, COUNT,
-  // and the single-block query cache wrapped around a detached shard.
+  // the pre-save set: batched, allocation-free covering, COUNT, and the
+  // single-block query cache wrapped around a detached shard.
   const BlockSet set = BuildSet(4);
   const BlockSet loaded = Deserialized(Serialized(set));
   const AggregateRequest req = Request();

@@ -293,10 +293,7 @@ TEST_F(FaultInjectionTest, DegradedServerServesReadsAndReportsHealth) {
   req.Add(AggFn::kSum, 0);
   for (size_t p = 0; p < polygons_->size(); ++p) {
     const QueryResult got = client.Select((*polygons_)[p], req);
-    core::QueryBatch qb;
-    qb.polygons = {&(*polygons_)[p]};
-    qb.request = &req;
-    const QueryResult want = oracle.ExecuteBatch(qb, nullptr).front();
+    const QueryResult want = oracle.Select((*polygons_)[p], req);
     ASSERT_EQ(got.count, want.count) << "polygon " << p;
     ASSERT_EQ(got.values, want.values) << "polygon " << p;
     ASSERT_EQ(client.Count((*polygons_)[p]), oracle.Count((*polygons_)[p]));

@@ -127,6 +127,22 @@ class LazyLoadTest : public ::testing::Test {
     return std::move(buf).str();
   }
 
+  /// Flips one byte in shard `s`'s payload. The manifest stays intact, so
+  /// OpenMapped succeeds — the damage must surface at fault time, typed.
+  void CorruptShardPayload(size_t s) const {
+    std::string bytes = ReadFileBytes();
+    core::serialize::SetManifest m;
+    {
+      std::istringstream in(bytes, std::ios::binary);
+      m = core::serialize::ReadSetManifest(in);
+    }
+    ASSERT_GT(m.payload_sizes[s], 0u);
+    bytes[m.manifest_bytes + m.payload_offsets[s] + m.payload_sizes[s] / 2] ^=
+        0x5A;
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
   /// A one-cell covering lying inside shard `s` (taken from the eager
   /// twin, whose blocks are always materialized).
   static std::vector<cell::CellId> ShardCovering(const BlockSet& eager,
@@ -222,23 +238,7 @@ TEST_F(LazyLoadTest, BatchAndIntoPathsServeFromMappedSet) {
 TEST_F(LazyLoadTest, CorruptShardPayloadFaultsTypedAndStaysContained) {
   WriteFile(BuildSet(kShards));
   const BlockSet eager = Eager();
-
-  // Flip one byte in shard 2's payload; the manifest stays intact, so
-  // OpenMapped succeeds — the damage must surface at fault time, typed.
-  std::string bytes = ReadFileBytes();
-  core::serialize::SetManifest m;
-  {
-    std::istringstream in(bytes, std::ios::binary);
-    m = core::serialize::ReadSetManifest(in);
-  }
-  ASSERT_GT(m.payload_sizes[2], 0u);
-  const size_t victim =
-      m.manifest_bytes + m.payload_offsets[2] + m.payload_sizes[2] / 2;
-  bytes[victim] ^= 0x5A;
-  {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  CorruptShardPayload(2);
 
   const BlockSet mapped = BlockSet::OpenMapped(path_);
   const AggregateRequest req = Request();
@@ -259,6 +259,63 @@ TEST_F(LazyLoadTest, CorruptShardPayloadFaultsTypedAndStaysContained) {
     EXPECT_EQ(mapped.SelectCovering(good, req).count,
               eager.SelectCovering(good, req).count)
         << "shard " << s;
+  }
+}
+
+TEST_F(LazyLoadTest, PooledBatchesOverCorruptShardThrowTypedOnCaller) {
+  // Queries faulting the corrupt shard on pool workers must surface as
+  // ShardFaultError on the calling thread once the whole batch ran, and
+  // the set and pool keep answering the queries that avoid that shard.
+  WriteFile(BuildSet(kShards));
+  const BlockSet eager = Eager();
+  CorruptShardPayload(2);
+  const BlockSet mapped = BlockSet::OpenMapped(path_);
+  const AggregateRequest req = Request();
+
+  // Route on the mapped set itself: the corrupt shard never materializes,
+  // so its manifest-range routing is the one every read below uses.
+  std::vector<const geo::Polygon*> all;
+  std::vector<const geo::Polygon*> clean;
+  for (const geo::Polygon& p : *polygons_) {
+    all.push_back(&p);
+    const std::vector<size_t> shards =
+        mapped.OverlappingShards(mapped.Cover(p));
+    if (std::find(shards.begin(), shards.end(), 2) == shards.end()) {
+      clean.push_back(&p);
+    }
+  }
+  ASSERT_LT(clean.size(), all.size()) << "no query reaches shard 2";
+  ASSERT_FALSE(clean.empty()) << "every query reaches shard 2";
+
+  util::ThreadPool pool(4);
+  core::QueryBatch batch;
+  batch.polygons = all;
+  batch.request = &req;
+  for (int round = 0; round < 2; ++round) {
+    try {
+      (void)mapped.ExecuteBatch(batch, &pool);
+      FAIL() << "a batch faulting a corrupt payload must throw";
+    } catch (const ShardFaultError& e) {
+      EXPECT_EQ(e.shard, 2u);
+    }
+    EXPECT_THROW((void)mapped.CountBatch(all, &pool), ShardFaultError);
+  }
+  EXPECT_FALSE(mapped.shard_resident(2));
+
+  batch.polygons = clean;
+  const std::vector<QueryResult> got = mapped.ExecuteBatch(batch, &pool);
+  const std::vector<uint64_t> counts = mapped.CountBatch(clean, &pool);
+  ASSERT_EQ(got.size(), clean.size());
+  ASSERT_EQ(counts.size(), clean.size());
+  for (size_t i = 0; i < clean.size(); ++i) {
+    const QueryResult want = eager.Select(*clean[i], req);
+    ASSERT_EQ(got[i].count, want.count) << "query " << i;
+    ASSERT_EQ(got[i].values.size(), want.values.size()) << "query " << i;
+    ASSERT_EQ(std::memcmp(got[i].values.data(), want.values.data(),
+                          want.values.size() * sizeof(double)),
+              0)
+        << "query " << i;
+    EXPECT_EQ(counts[i], eager.Count(*clean[i])) << "query " << i;
   }
 }
 

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -69,23 +69,24 @@ class QueryBatchTest : public ::testing::Test {
     return req;
   }
 
-  static void ExpectNear(const QueryResult& got, const QueryResult& want,
-                         const char* what) {
-    ASSERT_EQ(got.count, want.count) << what;
-    ASSERT_EQ(got.values.size(), want.values.size()) << what;
-    for (size_t i = 0; i < got.values.size(); ++i) {
-      ASSERT_NEAR(got.values[i], want.values[i],
-                  1e-9 * std::abs(want.values[i]) + 1e-6)
-          << what << " value " << i;
-    }
+  /// Same count and the same bits in every value.
+  static void ExpectBitIdentical(const QueryResult& got,
+                                 const QueryResult& want, const char* what,
+                                 size_t query) {
+    ASSERT_EQ(got.count, want.count) << what << " query " << query;
+    ASSERT_EQ(got.values.size(), want.values.size())
+        << what << " query " << query;
+    ASSERT_EQ(std::memcmp(got.values.data(), want.values.data(),
+                          got.values.size() * sizeof(double)),
+              0)
+        << what << " query " << query;
   }
 
   static void ExpectExactlyEqual(const std::vector<QueryResult>& a,
                                  const std::vector<QueryResult>& b) {
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i].count, b[i].count) << "query " << i;
-      ASSERT_EQ(a[i].values, b[i].values) << "query " << i;
+      ExpectBitIdentical(a[i], b[i], "batch", i);
     }
   }
 
@@ -103,13 +104,24 @@ BlockSet* QueryBatchTest::set_ = nullptr;
 std::vector<geo::Polygon>* QueryBatchTest::polygons_ = nullptr;
 
 TEST_F(QueryBatchTest, BatchMatchesSequentialSelect) {
-  util::ThreadPool pool(4);
+  // A batched answer is the per-query Select fold itself, so it equals
+  // Select and one unsharded block bit for bit, inline or on any pool.
   const AggregateRequest req = Request();
   const QueryBatch batch = QueryBatch::Of(*polygons_, &req);
-  const std::vector<QueryResult> results = set_->ExecuteBatch(batch, &pool);
-  ASSERT_EQ(results.size(), polygons_->size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    ExpectNear(results[i], set_->Select((*polygons_)[i], req), "batch");
+  const GeoBlock single =
+      GeoBlock::Build(*data_, core::BlockOptions{kLevel, {}});
+  util::ThreadPool pool1(1);
+  util::ThreadPool pool4(4);
+  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                 &pool1, &pool4}) {
+    const std::vector<QueryResult> results = set_->ExecuteBatch(batch, pool);
+    ASSERT_EQ(results.size(), polygons_->size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      const geo::Polygon& polygon = (*polygons_)[i];
+      ExpectBitIdentical(results[i], set_->Select(polygon, req), "Select", i);
+      ExpectBitIdentical(results[i], single.Select(polygon, req),
+                         "single block", i);
+    }
   }
 }
 
@@ -122,8 +134,8 @@ TEST_F(QueryBatchTest, BatchIsDeterministicAcrossRunsAndPoolSizes) {
   const auto run1 = set_->ExecuteBatch(batch, &pool1);
   const auto run4a = set_->ExecuteBatch(batch, &pool4);
   const auto run4b = set_->ExecuteBatch(batch, &pool4);
-  // Partial merge order is fixed, so results are bitwise reproducible no
-  // matter how the tasks were scheduled.
+  // Each query folds on one task in key order, so results are bitwise
+  // reproducible no matter how the tasks were scheduled.
   ExpectExactlyEqual(inline_run, run1);
   ExpectExactlyEqual(run1, run4a);
   ExpectExactlyEqual(run4a, run4b);

@@ -3,8 +3,8 @@
 //
 //  1. Concurrent reads — every SELECT / COUNT response must be
 //     bit-identical to the direct-engine answer (the wire carries raw
-//     double bits, admission coalesces into QueryBatches, and sharded
-//     batch execution is already pinned bit-for-bit by block_set_test).
+//     double bits and the server answers each read with the per-query
+//     Select / Count).
 //
 //  2. Concurrent updates — in-cell tuples with exactly-representable
 //     values (eighths), so floating-point sums are order-independent and
@@ -24,7 +24,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <condition_variable>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -37,6 +37,7 @@
 
 #include "cell/cell_id.h"
 #include "core/block_set.h"
+#include "core/serialize.h"
 #include "io/update_log.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -100,8 +101,8 @@ class ServerServingTest : public ::testing::Test {
     return BlockSet::Build(*sharded_, BlockSetOptions{{kLevel, {}}}, pool_);
   }
 
-  /// The aggregate mixes the suite queries with — multiple distinct
-  /// signatures so the batcher actually forms several QueryBatch groups.
+  /// The aggregate mixes the suite queries with — several distinct
+  /// signatures share each epoch.
   static std::vector<AggregateRequest> Requests() {
     std::vector<AggregateRequest> reqs(3);
     reqs[0].Add(AggFn::kCount);
@@ -172,19 +173,14 @@ TEST_F(ServerServingTest, ConcurrentReadsAreBitIdenticalToSerialOracle) {
   server.Start();
 
   // Precompute every expected answer serially against the oracle. The
-  // server executes through the batched seam, whose merge order differs
-  // from sequential Select by last-bit rounding — but is bitwise
-  // reproducible across batch compositions and pool sizes
-  // (query_batch_test pins this), so a singleton batch is the oracle.
+  // server runs each read as the per-query Select / Count, so the served
+  // answer must equal the library call bit for bit.
   const std::vector<AggregateRequest> reqs = Requests();
   std::vector<std::vector<QueryResult>> expected(polygons_->size());
   std::vector<uint64_t> expected_counts(polygons_->size());
   for (size_t p = 0; p < polygons_->size(); ++p) {
     for (const AggregateRequest& req : reqs) {
-      core::QueryBatch qb;
-      qb.polygons = {&(*polygons_)[p]};
-      qb.request = &req;
-      expected[p].push_back(oracle.ExecuteBatch(qb, nullptr).front());
+      expected[p].push_back(oracle.Select((*polygons_)[p], req));
     }
     expected_counts[p] = oracle.Count((*polygons_)[p]);
   }
@@ -220,7 +216,7 @@ TEST_F(ServerServingTest, ConcurrentReadsAreBitIdenticalToSerialOracle) {
   EXPECT_EQ(mismatches.load(), 0u)
       << "served answers diverged from the serial oracle";
 
-  // The batcher really coalesced: fewer QueryBatches than SELECTs.
+  // An epoch counts toward select_groups only when it answered a SELECT.
   const server::ServerStats stats = server.stats();
   EXPECT_GT(stats.selects_executed, 0u);
   EXPECT_LE(stats.select_groups, stats.selects_executed);
@@ -401,18 +397,11 @@ TEST_F(ServerServingTest, MappedSetServesAndReportsMemoryStats) {
       const QueryResult got = client.Select(poly, reqs[2]);
       const QueryResult want = eager.Select(poly, reqs[2]);
       ASSERT_EQ(want.count, got.count);
-      // Select computes its covering against the set's routing state; a
-      // cold mapped shard routes through the conservative boundary
-      // fallback, so the fold order (not the point membership) can
-      // differ from the eager set. Counts are exact; values are
-      // compared to relative tolerance. Bit identity on shared
-      // coverings is gated in LazyLoadTest.
-      ASSERT_EQ(want.values.size(), got.values.size());
-      for (size_t v = 0; v < want.values.size(); ++v) {
-        const double tol = 1e-9 * std::max(1.0, std::abs(want.values[v]));
-        ASSERT_NEAR(want.values[v], got.values[v], tol)
-            << "served lazy answer diverged from the eager oracle";
-      }
+      // A cold mapped shard routes through the conservative boundary
+      // fallback, but a wrongly routed shard folds nothing, and the
+      // server runs the same per-query Select: the bits must match.
+      ASSERT_EQ(want.values, got.values)
+          << "served lazy answer diverged from the eager oracle";
     }
     std::map<std::string, uint64_t> stats;
     for (const auto& [key, value] : client.Stats()) stats[key] = value;
@@ -430,6 +419,124 @@ TEST_F(ServerServingTest, MappedSetServesAndReportsMemoryStats) {
     EXPECT_EQ(stats["memory.faults"], governor.stats().faults);
   }
   server.Stop();
+  ::unlink(path.c_str());
+}
+
+TEST_F(ServerServingTest, FailingReadAnswersOnlyItselfInternal) {
+  // One epoch mixing reads that fault a corrupt mapped shard with reads
+  // that avoid it: each failing read is answered kInternal on its own,
+  // and every other read of the same epoch gets its exact answer.
+  const std::string path =
+      ::testing::TempDir() + "server_serving_corrupt.gbst";
+  std::string bytes;
+  {
+    std::ostringstream out(std::ios::binary);
+    BuildSet().WriteTo(out);
+    bytes = std::move(out).str();
+  }
+  std::istringstream intact(bytes, std::ios::binary);
+  const BlockSet eager = BlockSet::ReadFrom(intact);
+  {
+    std::istringstream in(bytes, std::ios::binary);
+    const core::serialize::SetManifest m =
+        core::serialize::ReadSetManifest(in);
+    ASSERT_GT(m.payload_sizes[2], 0u);
+    bytes[m.manifest_bytes + m.payload_offsets[2] + m.payload_sizes[2] / 2] ^=
+        0x5A;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  BlockSet set = BlockSet::OpenMapped(path);
+
+  // The corrupt shard never materializes, so the mapped set's routing of
+  // each polygon is fixed: it either reaches shard 2 or it does not.
+  std::vector<bool> hits_corrupt;
+  for (const geo::Polygon& p : *polygons_) {
+    const std::vector<size_t> shards = set.OverlappingShards(set.Cover(p));
+    hits_corrupt.push_back(std::find(shards.begin(), shards.end(), 2) !=
+                           shards.end());
+  }
+  ASSERT_NE(std::count(hits_corrupt.begin(), hits_corrupt.end(), true), 0);
+  ASSERT_NE(std::count(hits_corrupt.begin(), hits_corrupt.end(), false), 0);
+
+  // Park the batcher in its first epoch so every probe below queues up
+  // behind it and the next drain runs all of them as one epoch.
+  std::mutex hook_mu;
+  std::condition_variable hook_cv;
+  bool entered = false;
+  bool release = false;
+  ServerOptions options;
+  options.pool = pool_;
+  options.batch_hook = [&] {
+    std::unique_lock<std::mutex> lock(hook_mu);
+    entered = true;
+    hook_cv.notify_all();
+    hook_cv.wait(lock, [&] { return release; });
+  };
+  QueryServer server(&set, options);
+  server.Start();
+  std::thread first([&] {
+    Client c = Client::Connect(server.port());
+    try {
+      (void)c.Count((*polygons_)[0]);
+    } catch (const server::ServerError&) {
+      // Polygon 0 may reach the corrupt shard; only the parking matters.
+    }
+  });
+  {
+    std::unique_lock<std::mutex> lock(hook_mu);
+    hook_cv.wait(lock, [&] { return entered; });
+  }
+
+  const AggregateRequest req = Requests()[2];
+  const size_t n = polygons_->size();
+  std::vector<Status> select_status(n, Status::kOk);
+  std::vector<Status> count_status(n, Status::kOk);
+  std::vector<QueryResult> selects(n);
+  std::vector<uint64_t> counts(n, 0);
+  std::vector<std::thread> probes;
+  for (size_t p = 0; p < n; ++p) {
+    probes.emplace_back([&, p] {
+      Client c = Client::Connect(server.port());
+      try {
+        selects[p] = c.Select((*polygons_)[p], req);
+      } catch (const server::ServerError& e) {
+        select_status[p] = e.status;
+      }
+    });
+    probes.emplace_back([&, p] {
+      Client c = Client::Connect(server.port());
+      try {
+        counts[p] = c.Count((*polygons_)[p]);
+      } catch (const server::ServerError& e) {
+        count_status[p] = e.status;
+      }
+    });
+  }
+  while (server.stats().queue_depth < 2 * n) std::this_thread::yield();
+  {
+    std::lock_guard<std::mutex> lock(hook_mu);
+    release = true;
+  }
+  hook_cv.notify_all();
+  for (std::thread& t : probes) t.join();
+  first.join();
+  server.Stop();
+  EXPECT_EQ(server.stats().batches_executed, 2u) << "probes shared an epoch";
+
+  for (size_t p = 0; p < n; ++p) {
+    if (hits_corrupt[p]) {
+      EXPECT_EQ(select_status[p], Status::kInternal) << "polygon " << p;
+      EXPECT_EQ(count_status[p], Status::kInternal) << "polygon " << p;
+      continue;
+    }
+    ASSERT_EQ(select_status[p], Status::kOk) << "polygon " << p;
+    ASSERT_EQ(count_status[p], Status::kOk) << "polygon " << p;
+    const QueryResult want = eager.Select((*polygons_)[p], req);
+    EXPECT_EQ(selects[p].count, want.count) << "polygon " << p;
+    EXPECT_EQ(selects[p].values, want.values) << "polygon " << p;
+    EXPECT_EQ(counts[p], eager.Count((*polygons_)[p])) << "polygon " << p;
+  }
   ::unlink(path.c_str());
 }
 

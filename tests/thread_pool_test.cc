@@ -2,8 +2,12 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -71,6 +75,39 @@ TEST(ThreadPoolTest, NestedParallelForFromWorkersCompletes) {
     pool.ParallelFor(4, [&](size_t) { ++count; });
   });
   EXPECT_EQ(count.load(), 16);
+}
+
+TEST(ThreadPoolTest, ParallelForRethrowsOnCallerAfterEveryIteration) {
+  // A throwing iteration must neither terminate the worker it runs on nor
+  // unwind the caller while other iterations are still queued or running:
+  // every iteration completes, the caller catches the exception, and the
+  // pool keeps working afterwards.
+  constexpr size_t kN = 64;
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    util::ThreadPool pool(threads);
+    for (const size_t k : {size_t{0}, size_t{1}, size_t{37}, kN - 1}) {
+      std::vector<std::atomic<int>> hits(kN);
+      try {
+        pool.ParallelFor(kN, [&](size_t i) {
+          ++hits[i];
+          if (i == k) {
+            throw std::runtime_error("iteration " + std::to_string(i));
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        });
+        ADD_FAILURE() << "iteration " << k << " threw; ParallelFor returned";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), "iteration " + std::to_string(k));
+      }
+      for (size_t i = 0; i < kN; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << threads << " threads, k=" << k << ", index " << i;
+      }
+    }
+    std::atomic<size_t> count{0};
+    pool.ParallelFor(kN, [&](size_t) { ++count; });
+    EXPECT_EQ(count.load(), kN) << threads << " threads";
+  }
 }
 
 TEST(ThreadPoolTest, WorkStealingRebalancesSkewedTasks) {
