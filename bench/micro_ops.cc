@@ -4,6 +4,11 @@
 // COUNT range sums, and AggregateTrie lookups (paper: 58-81 ns).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <numbers>
+#include <random>
+#include <vector>
+
 #include "bench/common.h"
 #include "cell/hilbert.h"
 #include "core/aggregate_trie.h"
@@ -62,6 +67,41 @@ void BM_PolygonCovering(benchmark::State& state) {
       static_cast<double>(cells) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_PolygonCovering);
+
+// Covering cost grows with the edges each cell must test: seeded 64-vertex
+// star polygons, the many-edge end of a fresh-polygon workload.
+void BM_PolygonCoveringManyEdges(benchmark::State& state) {
+  const auto& env = Env();
+  std::vector<geo::Polygon> polygons;
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<double> uni(0.0, 1.0);
+  for (int p = 0; p < 16; ++p) {
+    const geo::Point center = env.raw.Location(rng() % env.raw.num_rows());
+    const double radius = 0.008 + 0.042 * uni(rng);
+    geo::Ring ring;
+    for (int i = 0; i < 64; ++i) {
+      const double a = 2.0 * std::numbers::pi * (i + 0.8 * uni(rng)) / 64;
+      const double r = radius * (0.55 + 0.45 * uni(rng));
+      ring.push_back({center.x + r * std::cos(a),
+                      center.y + 0.75 * r * std::sin(a)});
+    }
+    polygons.emplace_back(std::move(ring));
+  }
+  std::vector<cell::CellId> covering;
+  size_t cells = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    core::CoverPolygonInto(env.data.projection(), kDefaultLevel,
+                           polygons[next], &covering);
+    benchmark::DoNotOptimize(covering.data());
+    benchmark::ClobberMemory();
+    cells += covering.size();
+    next = (next + 1) % polygons.size();
+  }
+  state.counters["cells"] =
+      static_cast<double>(cells) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_PolygonCoveringManyEdges);
 
 void BM_BlockSelect(benchmark::State& state) {
   const auto& env = Env();

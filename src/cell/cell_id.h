@@ -125,6 +125,15 @@ class CellId {
   /// Geometric extent of the cell in unit-square coordinates.
   geo::Rect ToRect() const;
 
+  /// Extent of the square whose lower-left leaf is (i, j) and whose side is
+  /// `size` leaf units; ToRect() of a cell is RectFromIJ of its ToIJ().
+  static geo::Rect RectFromIJ(uint32_t i, uint32_t j, uint32_t size) {
+    constexpr double kInv = 1.0 / static_cast<double>(uint64_t{1} << kMaxLevel);
+    return geo::Rect{{i * kInv, j * kInv},
+                     {(i + static_cast<double>(size)) * kInv,
+                      (j + static_cast<double>(size)) * kInv}};
+  }
+
   /// Center of the cell in unit-square coordinates.
   geo::Point CenterPoint() const;
 

@@ -4,63 +4,13 @@
 
 #include "cell/cell_id.h"
 #include "geo/polygon.h"
+#include "geo/projection.h"
 #include "geo/rect.h"
 
 namespace geoblocks::cell {
 
-/// A region of the unit square that can be covered with cells. Mirrors the
-/// two predicates an S2Region exposes to the S2RegionCoverer.
-class UnitRegion {
- public:
-  virtual ~UnitRegion() = default;
-
-  /// Bounding rectangle of the region (used to seed the covering).
-  virtual geo::Rect Bounds() const = 0;
-
-  /// True when the region *may* share a point with the rectangle. Must not
-  /// return false for an intersecting rectangle (no false negatives).
-  virtual bool MayIntersect(const geo::Rect& r) const = 0;
-
-  /// True when the rectangle is fully contained in the region.
-  virtual bool Contains(const geo::Rect& r) const = 0;
-};
-
-/// A polygon in unit-square coordinates as a coverable region.
-class PolygonRegion final : public UnitRegion {
- public:
-  explicit PolygonRegion(const geo::Polygon* polygon) : polygon_(polygon) {}
-
-  geo::Rect Bounds() const override { return polygon_->Bounds(); }
-  bool MayIntersect(const geo::Rect& r) const override {
-    return polygon_->IntersectsRect(r);
-  }
-  bool Contains(const geo::Rect& r) const override {
-    return polygon_->ContainsRect(r);
-  }
-
- private:
-  const geo::Polygon* polygon_;
-};
-
-/// A rectangle in unit-square coordinates as a coverable region.
-class RectRegion final : public UnitRegion {
- public:
-  explicit RectRegion(const geo::Rect& rect) : rect_(rect) {}
-
-  geo::Rect Bounds() const override { return rect_; }
-  bool MayIntersect(const geo::Rect& r) const override {
-    return rect_.Intersects(r);
-  }
-  bool Contains(const geo::Rect& r) const override {
-    return rect_.Contains(r);
-  }
-
- private:
-  geo::Rect rect_;
-};
-
 /// One cell of a covering, flagged with whether it lies fully inside the
-/// covered region (interior cells contribute *exact* aggregates; boundary
+/// covered polygon (interior cells contribute *exact* aggregates; boundary
 /// cells are the source of the bounded approximation error, Section 3.2).
 struct CoveringCell {
   CellId cell;
@@ -75,32 +25,35 @@ struct CovererOptions {
   int min_level = 0;
   /// Finest cells allowed; for GeoBlock queries this is the block level
   /// ("the cell covering cannot contain any cells smaller than the cells of
-  /// the GeoBlock", Section 3.5). Also the level that bounds the spatial
-  /// error.
+  /// the GeoBlock", Section 3.5). Boundary cells always reach this level,
+  /// so it is also the level that bounds the spatial error.
   int max_level = CellId::kMaxLevel;
-  /// Budget on the number of cells. The default is effectively unbounded so
-  /// that boundary cells always reach max_level and the covering conforms
-  /// to the error bound; lower budgets trade precision for fewer cells.
-  size_t max_cells = size_t{1} << 40;
 };
 
-/// Computes a covering of `region`: a set of disjoint cells whose union
-/// contains the region. Cells fully inside the region are emitted as coarse
-/// as possible (subject to min_level); boundary cells descend to max_level
-/// (subject to max_cells). The result is sorted by cell id and canonical:
-/// no four sibling cells that could be merged into a parent >= min_level
-/// remain, and the output is deterministic.
-std::vector<CoveringCell> GetCovering(const UnitRegion& region,
+/// Computes a covering of `polygon` (unit-square coordinates): a set of
+/// disjoint cells whose union contains the polygon. Cells fully inside the
+/// polygon are emitted as coarse as possible (subject to min_level);
+/// boundary cells descend to max_level. The result is sorted by cell id and
+/// canonical: no four sibling cells that could be merged into a parent
+/// >= min_level remain, and the output is deterministic.
+///
+/// The traversal is depth-first in Hilbert order and clips the polygon's
+/// edges top-down: each cell tests only the edges whose bounding box
+/// overlaps it, and a cell no edge crosses is classified by point-in-polygon
+/// tests of its corners (each shared corner is tested once).
+std::vector<CoveringCell> GetCovering(const geo::Polygon& polygon,
                                       const CovererOptions& options);
 
 /// Convenience overload returning bare cell ids.
-std::vector<CellId> GetCoveringCells(const UnitRegion& region,
+std::vector<CellId> GetCoveringCells(const geo::Polygon& polygon,
                                      const CovererOptions& options);
 
-/// Allocation-reusing variant: clears and refills `*out` with the bare
-/// cell ids of the covering, keeping the vector's capacity so a scratch
-/// buffer amortizes the result allocation away on hot query paths.
-void GetCoveringCellsInto(const UnitRegion& region,
+/// Covers `projection.ToUnit(polygon)` without building the projected
+/// polygon: clears and refills `*out` with the bare cell ids of the
+/// covering. Vertices are projected straight into thread-local scratch and
+/// `*out` keeps its capacity, so once warm a call allocates nothing.
+void GetCoveringCellsInto(const geo::Projection& projection,
+                          const geo::Polygon& polygon,
                           const CovererOptions& options,
                           std::vector<CellId>* out);
 

@@ -468,11 +468,9 @@ std::vector<cell::CellId> CoverPolygon(const geo::Projection& projection,
 void CoverPolygonInto(const geo::Projection& projection, int level,
                       const geo::Polygon& polygon,
                       std::vector<cell::CellId>* out) {
-  const geo::Polygon unit = projection.ToUnit(polygon);
-  const cell::PolygonRegion region(&unit);
   cell::CovererOptions options;
   options.max_level = level;
-  cell::GetCoveringCellsInto(region, options, out);
+  cell::GetCoveringCellsInto(projection, polygon, options, out);
 }
 
 std::vector<cell::CellId> GeoBlock::Cover(const geo::Polygon& polygon) const {

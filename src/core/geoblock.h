@@ -51,6 +51,8 @@ std::vector<cell::CellId> CoverPolygon(const geo::Projection& projection,
 
 /// Allocation-reusing variant of CoverPolygon: clears and refills `*out`,
 /// keeping its capacity (for thread-local scratch buffers on query paths).
+/// The polygon is projected straight into the coverer's thread-local edge
+/// scratch, so once both are warm a call allocates nothing.
 ///
 /// @param projection Mapping from lat/lng onto the unit square.
 /// @param level      Finest cell level the covering may use.

@@ -24,13 +24,9 @@ bool Polygon::Contains(const Point& p) const {
   for (const Ring& ring : rings_) {
     const size_t n = ring.size();
     for (size_t i = 0, j = n - 1; i < n; j = i++) {
-      const Point& a = ring[j];
-      const Point& b = ring[i];
-      if (OnSegment(Segment{a, b}, p)) return true;
-      if ((b.y > p.y) != (a.y > p.y)) {
-        const double x_cross = b.x + (p.y - b.y) * (a.x - b.x) / (a.y - b.y);
-        if (x_cross > p.x) inside = !inside;
-      }
+      const EdgeHit hit = RayHitsEdge(ring[j], ring[i], p);
+      if (hit == EdgeHit::kOnEdge) return true;
+      if (hit == EdgeHit::kCrossing) inside = !inside;
     }
   }
   return inside;

@@ -1,12 +1,35 @@
 #pragma once
 
+#include <algorithm>
 #include <initializer_list>
 #include <vector>
 
 #include "geo/point.h"
 #include "geo/rect.h"
+#include "geo/segment.h"
 
 namespace geoblocks::geo {
+
+/// One ring edge's share of the even-odd test in Polygon::Contains.
+enum class EdgeHit {
+  kNone,      // the edge neither holds `p` nor crosses the ray from it
+  kCrossing,  // the horizontal ray from `p` to +infinity crosses the edge
+  kOnEdge,    // `p` lies on the edge
+};
+
+/// Classifies the ring edge from `a` to `b` against `p`. Only an edge whose
+/// y-interval holds p.y can return anything but kNone.
+inline EdgeHit RayHitsEdge(const Point& a, const Point& b, const Point& p) {
+  if (p.y < std::min(a.y, b.y) || p.y > std::max(a.y, b.y)) {
+    return EdgeHit::kNone;
+  }
+  if (OnSegment(Segment{a, b}, p)) return EdgeHit::kOnEdge;
+  if ((b.y > p.y) != (a.y > p.y)) {
+    const double x_cross = b.x + (p.y - b.y) * (a.x - b.x) / (a.y - b.y);
+    if (x_cross > p.x) return EdgeHit::kCrossing;
+  }
+  return EdgeHit::kNone;
+}
 
 /// A simple polygon ring given by its vertices (implicitly closed; the last
 /// vertex connects back to the first). Orientation does not matter for any

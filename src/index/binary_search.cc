@@ -7,10 +7,9 @@ namespace geoblocks::index {
 std::vector<cell::CellId> BinarySearchIndex::Cover(
     const geo::Polygon& polygon, int cover_level) const {
   const geo::Polygon unit = data_->projection().ToUnit(polygon);
-  const cell::PolygonRegion region(&unit);
   cell::CovererOptions options;
   options.max_level = cover_level;
-  return cell::GetCoveringCells(region, options);
+  return cell::GetCoveringCells(unit, options);
 }
 
 core::QueryResult BinarySearchIndex::Select(

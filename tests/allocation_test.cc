@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <random>
 #include <vector>
 
+#include "cell/coverer.h"
 #include "core/block_qc.h"
 #include "core/block_set.h"
 #include "core/geoblock.h"
@@ -15,28 +18,43 @@
 #include "workload/polygen.h"
 
 // Count every global heap allocation in this test binary so the serving hot
-// paths' zero-allocation guarantees are checkable, not aspirational.
-// Counting is always on; tests read the counter around a measured window.
+// paths' zero-allocation guarantees are checkable, not aspirational, and
+// track live and peak heap bytes so memory that outlives a call is too.
+// Counting is always on; tests read the counters around a measured window.
 namespace {
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_bytes{0};
+
+void* Allocate(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  const auto bytes = static_cast<int64_t>(malloc_usable_size(p));
+  const int64_t live =
+      g_live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak &&
+         !g_peak_bytes.compare_exchange_weak(peak, live,
+                                             std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
+void Release(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new(std::size_t size) { return Allocate(size); }
+void* operator new[](std::size_t size) { return Allocate(size); }
+void operator delete(void* p) noexcept { Release(p); }
+void operator delete[](void* p) noexcept { Release(p); }
+void operator delete(void* p, std::size_t) noexcept { Release(p); }
+void operator delete[](void* p, std::size_t) noexcept { Release(p); }
 
 namespace geoblocks::core {
 namespace {
@@ -128,6 +146,75 @@ TEST_F(AllocationTest, SelectCoveringIntoSteadyStateIsAllocationFree) {
       << "steady-state SELECT must not allocate";
   EXPECT_EQ(result.count, want.count);
   EXPECT_EQ(result.values, want.values);
+}
+
+TEST_F(AllocationTest, CoverIntoSteadyStateIsAllocationFree) {
+  // The served read's covering step: the polygon is projected straight into
+  // the coverer's thread-local edge scratch and the ids go straight into the
+  // caller's reused buffer.
+  const auto polygons = workload::Neighborhoods(raw_, 4, 11);
+  ASSERT_FALSE(polygons.empty());
+  std::vector<std::vector<cell::CellId>> want;
+  std::vector<cell::CellId> covering;
+  for (const geo::Polygon& polygon : polygons) {
+    set_.CoverInto(polygon, &covering);
+    ASSERT_FALSE(covering.empty());
+    want.push_back(covering);
+  }
+
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  bool same = true;
+  for (int i = 0; i < 200; ++i) {
+    const size_t p = static_cast<size_t>(i) % polygons.size();
+    set_.CoverInto(polygons[p], &covering);
+    same = same && covering == want[p];
+  }
+  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "steady-state CoverInto must not allocate";
+  EXPECT_TRUE(same);
+}
+
+TEST_F(AllocationTest, CoveringHugePolygonIsLinearAndKeepsNoScratch) {
+  // A comb of 10,000 thin teeth packed into one level-15 column: all 20,001
+  // edges run the polygon's full height, so an edge index keyed by height
+  // would hold edges^2 entries.
+  constexpr int kTeeth = 10000;
+  const double cell = std::ldexp(1.0, -kLevel);
+  const double column = std::floor(0.3 / cell) * cell;
+  geo::Ring ring;
+  for (int k = 0; k < kTeeth; ++k) {
+    ring.push_back({column + cell * (0.1 + 0.8 * k / kTeeth), 0.3});
+    ring.push_back({column + cell * (0.1 + 0.8 * (k + 0.5) / kTeeth),
+                    0.3 + 16 * cell});
+  }
+  ring.push_back({column + 0.9 * cell, 0.3});
+  const int64_t edges = static_cast<int64_t>(ring.size());
+  const geo::Polygon comb(std::move(ring));
+  cell::CovererOptions options;
+  options.max_level = kLevel;
+  // Warm this thread's scratch on an everyday polygon.
+  ASSERT_FALSE(cell::GetCovering(geo::Polygon{{0.1, 0.1}, {0.2, 0.1},
+                                              {0.15, 0.2}},
+                                 options)
+                   .empty());
+
+  const int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_bytes.store(before, std::memory_order_relaxed);
+  int64_t cells = 0;
+  {
+    const std::vector<cell::CoveringCell> covering =
+        cell::GetCovering(comb, options);
+    cells = static_cast<int64_t>(covering.size());
+  }
+  const int64_t after = g_live_bytes.load(std::memory_order_relaxed);
+  const int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  EXPECT_GE(cells, 16);  // one column, no sibling to merge with
+  // Working memory stays linear in the edge count: the edges themselves
+  // and the clipped-edge stack, at most one slice per level.
+  EXPECT_LT(peak - before, 1024 * edges + 64 * cells)
+      << "covering used " << (peak - before) << " bytes for " << edges
+      << " edges";
+  EXPECT_LE(after, before) << "the huge polygon's scratch outlived the call";
 }
 
 TEST_F(AllocationTest, CachedSelectSteadyStateIsAllocationFree) {

@@ -134,10 +134,9 @@ TEST_P(CellUnionPropertyTest, CovererOutputIsAlreadyNormalized) {
   const geo::Polygon poly = geo::Polygon::RegularNGon(
       {0.3 + 0.4 * uni(rng), 0.3 + 0.4 * uni(rng)}, 0.05 + 0.15 * uni(rng),
       3 + static_cast<int>(rng() % 8), uni(rng));
-  const PolygonRegion region(&poly);
   CovererOptions options;
   options.max_level = 9 + GetParam() % 4;
-  const std::vector<CellId> covering = GetCoveringCells(region, options);
+  const std::vector<CellId> covering = GetCoveringCells(poly, options);
   const CellUnion renormalized = CellUnion::FromCells(covering);
   EXPECT_EQ(renormalized.cells(), covering)
       << "coverer output must be canonical";

@@ -9,16 +9,16 @@ namespace {
 
 TEST(CovererTest, EmptyRegion) {
   const geo::Polygon empty;
-  const PolygonRegion region(&empty);
-  EXPECT_TRUE(GetCovering(region, CovererOptions{}).empty());
+  EXPECT_TRUE(GetCovering(empty, CovererOptions{}).empty());
 }
 
 TEST(CovererTest, WholeSquare) {
-  const geo::Rect all{{0, 0}, {1, 1}};
-  const RectRegion region(all);
+  // A polygon strictly around the unit square: the root cell is inside it
+  // and no edge crosses the root, so the root is one interior cell.
+  const geo::Polygon all = geo::Polygon::FromRect({{-0.5, -0.5}, {1.5, 1.5}});
   CovererOptions options;
   options.max_level = 10;
-  const auto covering = GetCovering(region, options);
+  const auto covering = GetCovering(all, options);
   ASSERT_EQ(covering.size(), 1u);
   EXPECT_EQ(covering[0].cell, CellId::Root());
   EXPECT_TRUE(covering[0].interior);
@@ -26,10 +26,9 @@ TEST(CovererTest, WholeSquare) {
 
 TEST(CovererTest, CoveringContainsRegion) {
   const geo::Polygon poly{{0.2, 0.2}, {0.7, 0.3}, {0.6, 0.8}, {0.25, 0.6}};
-  const PolygonRegion region(&poly);
   CovererOptions options;
   options.max_level = 12;
-  const auto covering = GetCovering(region, options);
+  const auto covering = GetCovering(poly, options);
   ASSERT_FALSE(covering.empty());
 
   // Every point of the region must be inside some covering cell.
@@ -51,10 +50,9 @@ TEST(CovererTest, CoveringContainsRegion) {
 
 TEST(CovererTest, CellsAreDisjointAndSorted) {
   const geo::Polygon poly{{0.1, 0.1}, {0.9, 0.15}, {0.5, 0.9}};
-  const PolygonRegion region(&poly);
   CovererOptions options;
   options.max_level = 11;
-  const auto covering = GetCovering(region, options);
+  const auto covering = GetCovering(poly, options);
   for (size_t i = 1; i < covering.size(); ++i) {
     ASSERT_LT(covering[i - 1].cell, covering[i].cell);
     ASSERT_FALSE(covering[i - 1].cell.Intersects(covering[i].cell));
@@ -63,10 +61,9 @@ TEST(CovererTest, CellsAreDisjointAndSorted) {
 
 TEST(CovererTest, InteriorCellsAreInsidePolygon) {
   const geo::Polygon poly{{0.1, 0.1}, {0.9, 0.1}, {0.9, 0.9}, {0.1, 0.9}};
-  const PolygonRegion region(&poly);
   CovererOptions options;
   options.max_level = 8;
-  const auto covering = GetCovering(region, options);
+  const auto covering = GetCovering(poly, options);
   bool any_interior = false;
   for (const CoveringCell& cc : covering) {
     if (cc.interior) {
@@ -78,17 +75,16 @@ TEST(CovererTest, InteriorCellsAreInsidePolygon) {
 }
 
 TEST(CovererTest, BoundaryCellsReachMaxLevel) {
-  // With an unbounded budget, boundary (non-interior) cells are exactly at
-  // max_level — this is what bounds the approximation error.
+  // Boundary (non-interior) cells descend to max_level — this is what
+  // bounds the approximation error.
   const geo::Polygon poly{{0.21, 0.2}, {0.8, 0.31}, {0.52, 0.77}};
-  const PolygonRegion region(&poly);
   CovererOptions options;
   options.max_level = 9;
-  const auto covering = GetCovering(region, options);
+  const auto covering = GetCovering(poly, options);
   for (const CoveringCell& cc : covering) {
     if (!cc.interior) {
-      // Canonicalization may merge four boundary siblings only when all
-      // four exist, which preserves the error bound; merged boundary cells
+      // The coverer merges four boundary siblings only when all four
+      // exist, which preserves the error bound; merged boundary cells
       // are still counted via their children. Assert level bound only.
       ASSERT_LE(cc.cell.level(), options.max_level);
     }
@@ -97,37 +93,24 @@ TEST(CovererTest, BoundaryCellsReachMaxLevel) {
 }
 
 TEST(CovererTest, RespectsMinLevel) {
-  const geo::Rect r{{0.4, 0.4}, {0.6, 0.6}};
-  const RectRegion region(r);
+  const geo::Polygon square = geo::Polygon::FromRect({{0.4, 0.4}, {0.6, 0.6}});
   CovererOptions options;
   options.min_level = 4;
   options.max_level = 7;
-  const auto covering = GetCovering(region, options);
+  const auto covering = GetCovering(square, options);
   for (const CoveringCell& cc : covering) {
     ASSERT_GE(cc.cell.level(), options.min_level);
     ASSERT_LE(cc.cell.level(), options.max_level);
   }
 }
 
-TEST(CovererTest, RespectsMaxCellsBudget) {
-  const geo::Polygon poly{{0.12, 0.1}, {0.88, 0.13}, {0.81, 0.9}, {0.2, 0.85}};
-  const PolygonRegion region(&poly);
-  CovererOptions options;
-  options.max_level = 18;
-  options.max_cells = 24;
-  const auto covering = GetCovering(region, options);
-  EXPECT_LE(covering.size(), options.max_cells);
-  EXPECT_FALSE(covering.empty());
-}
-
 TEST(CovererTest, FinerLevelReducesArea) {
   const geo::Polygon poly{{0.3, 0.3}, {0.7, 0.35}, {0.6, 0.7}};
-  const PolygonRegion region(&poly);
   double prev_area = 10.0;
   for (const int level : {6, 8, 10, 12}) {
     CovererOptions options;
     options.max_level = level;
-    const auto covering = GetCovering(region, options);
+    const auto covering = GetCovering(poly, options);
     double area = 0.0;
     for (const CoveringCell& cc : covering) {
       area += cc.cell.ToRect().Area();
@@ -140,21 +123,19 @@ TEST(CovererTest, FinerLevelReducesArea) {
 
 TEST(CovererTest, DeterministicOutput) {
   const geo::Polygon poly{{0.2, 0.25}, {0.75, 0.3}, {0.55, 0.8}};
-  const PolygonRegion region(&poly);
   CovererOptions options;
   options.max_level = 13;
-  const auto a = GetCovering(region, options);
-  const auto b = GetCovering(region, options);
+  const auto a = GetCovering(poly, options);
+  const auto b = GetCovering(poly, options);
   EXPECT_EQ(a, b);
 }
 
 TEST(CovererTest, GetCoveringCellsMatches) {
   const geo::Polygon poly{{0.2, 0.25}, {0.75, 0.3}, {0.55, 0.8}};
-  const PolygonRegion region(&poly);
   CovererOptions options;
   options.max_level = 10;
-  const auto with_flags = GetCovering(region, options);
-  const auto bare = GetCoveringCells(region, options);
+  const auto with_flags = GetCovering(poly, options);
+  const auto bare = GetCoveringCells(poly, options);
   ASSERT_EQ(with_flags.size(), bare.size());
   for (size_t i = 0; i < bare.size(); ++i) {
     EXPECT_EQ(with_flags[i].cell, bare[i]);
@@ -211,10 +192,9 @@ TEST_P(CovererPropertyTest, RandomPolygonsCoveredExactly) {
   const geo::Polygon poly = geo::Polygon::RegularNGon(
       {0.3 + 0.4 * uni(rng), 0.3 + 0.4 * uni(rng)}, 0.05 + 0.2 * uni(rng),
       3 + static_cast<int>(uni(rng) * 10), uni(rng) * 6.28);
-  const PolygonRegion region(&poly);
   CovererOptions options;
   options.max_level = 10 + GetParam() % 5;
-  const auto covering = GetCovering(region, options);
+  const auto covering = GetCovering(poly, options);
   ASSERT_FALSE(covering.empty());
   // Superset: covered area >= polygon area, and every covering cell
   // actually intersects the polygon (no spurious cells).
