@@ -13,12 +13,18 @@
 #include <condition_variable>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
 namespace geoblocks::server {
 
 namespace {
+
+/// Byte cap of the covering cache (server/cover_cache.h). All 195
+/// neighborhoods of the paper's workload take 155,848 B at level 17, so
+/// 1 MiB holds a dashboard's regions several times over.
+constexpr size_t kCoverCacheBytes = size_t{1} << 20;
 
 /// Outcome of a deadline-bounded exact read/write.
 enum class IoStatus {
@@ -152,7 +158,8 @@ QueryServer::QueryServer(core::BlockSet* set, ServerOptions options)
     : set_(set),
       options_(std::move(options)),
       governor_(options_.qos),
-      queue_(options_.queue_capacity) {
+      queue_(options_.queue_capacity),
+      cover_cache_(kCoverCacheBytes) {
   if (set_ == nullptr || set_->num_shards() == 0) {
     throw std::invalid_argument("geoblocks: QueryServer needs a built set");
   }
@@ -377,6 +384,9 @@ bool QueryServer::Dispatch(const std::shared_ptr<Connection>& conn,
   pending.cookie = cookie;
   pending.conn = conn;
   pending.polygon = std::move(request.polygon);
+  if (pending.opcode != Opcode::kUpdate) {
+    pending.cover_hash = CoverCache::Hash(pending.polygon);
+  }
   pending.aggregates = std::move(request.aggregates);
   pending.tuples = std::move(request.tuples);
   pending.fence = request.update_fence;
@@ -437,40 +447,86 @@ void QueryServer::ExecuteEpoch(std::vector<PendingRequest>& batch) {
     WriteResponse(p.conn, status, p.cookie, payload);
   };
 
-  // Every live read is one pool task running the per-query Select or
-  // Count, so a served answer is bit-identical to the library call. A read
-  // that throws answers only itself kInternal. All reads run before the
-  // epoch's single ApplyBatchUpdate below.
-  std::vector<std::string> read_payload(read_idx.size());
-  std::vector<Status> read_status(read_idx.size(), Status::kInternal);
+  // Every live read is one pool task running SelectCovering or
+  // CountCovering over its polygon's covering: the cached one on a hit, a
+  // fresh CoverInto on a miss. Select is exactly CoverInto followed by
+  // SelectCovering, so a served answer is bit-identical to the library
+  // call either way. A read that throws answers only itself kInternal. All
+  // reads run before the epoch's single ApplyBatchUpdate below.
+  //
+  // Lookups run here on the batcher (the hash was taken on the reader
+  // thread). A pool task only reads its cached covering, and entries move
+  // or die only in Insert, after the fan-out has joined: no locks on the
+  // read path.
+  struct ReadSlot {
+    const std::vector<cell::CellId>* cached = nullptr;
+    std::vector<cell::CellId> fresh;
+    bool covered = false;  ///< `fresh` holds the polygon's covering
+    Status status = Status::kInternal;
+    std::string payload;
+  };
+  std::vector<ReadSlot> reads(read_idx.size());
+  for (size_t j = 0; j < read_idx.size(); ++j) {
+    const PendingRequest& p = batch[read_idx[j]];
+    reads[j].cached = cover_cache_.Find(p.cover_hash, p.polygon);
+  }
   util::ForEachIndex(options_.pool, read_idx.size(), [&](size_t j) {
     const PendingRequest& p = batch[read_idx[j]];
+    ReadSlot& slot = reads[j];
     try {
+      if (slot.cached == nullptr) {
+        // Cover into warm scratch, then copy at exact size: no regrowth,
+        // and the entry's heap matches the bytes the cache charges.
+        thread_local std::vector<cell::CellId> scratch;
+        set_->CoverInto(p.polygon, &scratch);
+        slot.fresh.assign(scratch.begin(), scratch.end());
+        slot.covered = true;
+      }
+      const std::span<const cell::CellId> covering =
+          slot.cached != nullptr ? *slot.cached : slot.fresh;
       if (p.opcode == Opcode::kSelect) {
-        core::QueryResult result = set_->Select(p.polygon, p.aggregates);
+        core::QueryResult result =
+            set_->SelectCovering(covering, p.aggregates);
         SelectResult r;
         r.count = result.count;
         r.values = std::move(result.values);
-        read_payload[j] = EncodeSelectResult(r);
+        slot.payload = EncodeSelectResult(r);
       } else {
-        read_payload[j] = EncodeCountResult(set_->Count(p.polygon));
+        slot.payload = EncodeCountResult(set_->CountCovering(covering));
       }
-      read_status[j] = Status::kOk;
+      slot.status = Status::kOk;
     } catch (...) {
-      // read_status[j] stays kInternal.
+      // slot.status stays kInternal.
     }
   });
   uint64_t selects = 0;
   uint64_t counts = 0;
+  uint64_t hits = 0;
   for (size_t j = 0; j < read_idx.size(); ++j) {
-    if (read_status[j] != Status::kOk) continue;
+    if (reads[j].status != Status::kOk) continue;
     ++(batch[read_idx[j]].opcode == Opcode::kSelect ? selects : counts);
+    if (reads[j].cached != nullptr) ++hits;
+  }
+  // Insert after the counting above: an insert may evict an entry another
+  // slot's `cached` points at. Nothing reads a request's polygon after the
+  // fan-out, so the cache takes it instead of a copy.
+  for (size_t j = 0; j < read_idx.size(); ++j) {
+    if (!reads[j].covered) continue;
+    PendingRequest& p = batch[read_idx[j]];
+    cover_cache_.Insert(p.cover_hash, std::move(p.polygon),
+                        std::move(reads[j].fresh));
   }
   selects_executed_.fetch_add(selects, std::memory_order_relaxed);
   counts_executed_.fetch_add(counts, std::memory_order_relaxed);
   if (selects > 0) select_groups_.fetch_add(1, std::memory_order_relaxed);
+  cover_cache_hits_.fetch_add(hits, std::memory_order_relaxed);
+  cover_cache_misses_.fetch_add(selects + counts - hits,
+                                std::memory_order_relaxed);
+  cover_cache_entries_.store(cover_cache_.entries(),
+                             std::memory_order_relaxed);
+  cover_cache_bytes_.store(cover_cache_.bytes(), std::memory_order_relaxed);
   for (size_t j = 0; j < read_idx.size(); ++j) {
-    finish(batch[read_idx[j]], read_status[j], read_payload[j]);
+    finish(batch[read_idx[j]], reads[j].status, reads[j].payload);
   }
 
   if (!update_idx.empty()) {
@@ -616,6 +672,10 @@ ServerStats QueryServer::stats() const {
   s.requests_timed_out = requests_timed_out_.load();
   s.read_only_rejected = read_only_rejected_.load();
   s.update_dedup_hits = update_dedup_hits_.load();
+  s.cover_cache_hits = cover_cache_hits_.load();
+  s.cover_cache_misses = cover_cache_misses_.load();
+  s.cover_cache_entries = cover_cache_entries_.load();
+  s.cover_cache_bytes = cover_cache_bytes_.load();
   return s;
 }
 
@@ -641,6 +701,10 @@ std::vector<std::pair<std::string, uint64_t>> QueryServer::BuildStats()
       {"server.timed_out", s.requests_timed_out},
       {"server.read_only_rejected", s.read_only_rejected},
       {"server.update_dedup_hits", s.update_dedup_hits},
+      {"server.cover_cache_hits", s.cover_cache_hits},
+      {"server.cover_cache_misses", s.cover_cache_misses},
+      {"server.cover_cache_entries", s.cover_cache_entries},
+      {"server.cover_cache_bytes", s.cover_cache_bytes},
   };
   if (options_.memory != nullptr) {
     const core::MemoryGovernor::Stats m = options_.memory->stats();

@@ -8,9 +8,12 @@
 /// per-tenant QoS (server/qos.h) into a bounded admission queue
 /// (server/admission_queue.h); a single batcher thread drains the queue
 /// into epochs: every SELECT / COUNT of the epoch runs as one
-/// work-stealing ThreadPool task calling the per-query BlockSet::Select /
-/// Count (so served answers are bit-identical to the library's), then all
-/// of the epoch's UPDATEs coalesce into one ApplyBatchUpdate.
+/// work-stealing ThreadPool task calling BlockSet::SelectCovering /
+/// CountCovering over the polygon's covering, taken from a bounded
+/// covering cache (server/cover_cache.h) or computed by CoverInto on a
+/// miss. Select is exactly CoverInto + SelectCovering, so served answers
+/// are bit-identical to the library's. Then all of the epoch's UPDATEs
+/// coalesce into one ApplyBatchUpdate.
 /// PING and STATS are answered inline by the reader thread (health checks
 /// and audits must work even when the tenant is throttled or the queue is
 /// full, so they bypass QoS and admission).
@@ -57,6 +60,7 @@
 
 #include "core/block_set.h"
 #include "server/admission_queue.h"
+#include "server/cover_cache.h"
 #include "server/protocol.h"
 #include "server/qos.h"
 #include "util/io_shim.h"
@@ -135,6 +139,13 @@ struct ServerStats {
   uint64_t requests_timed_out = 0; ///< answered kTimeout (deadline expired)
   uint64_t read_only_rejected = 0; ///< UPDATEs answered kReadOnly
   uint64_t update_dedup_hits = 0;  ///< fenced retries answered from the window
+  /// Reads answered kOk whose covering came from the covering cache;
+  /// hits + misses == selects_executed + counts_executed once no epoch is
+  /// running (an epoch bumps the two pairs one after the other).
+  uint64_t cover_cache_hits = 0;
+  uint64_t cover_cache_misses = 0;   ///< reads answered kOk that covered
+  uint64_t cover_cache_entries = 0;  ///< polygons cached (point-in-time)
+  uint64_t cover_cache_bytes = 0;    ///< bytes charged (point-in-time)
 };
 
 /// The server. Construct over a built (or loaded) BlockSet, Start(), and
@@ -191,6 +202,9 @@ class QueryServer {
     uint64_t cookie = 0;
     std::shared_ptr<Connection> conn;
     geo::Polygon polygon;
+    /// CoverCache::Hash(polygon) of a SELECT / COUNT, computed on the
+    /// reader thread so the batcher's lookup does not walk the vertices.
+    uint64_t cover_hash = 0;
     core::AggregateRequest aggregates;
     std::vector<core::GeoBlock::UpdateTuple> tuples;
     uint64_t fence = 0;        ///< UPDATE idempotence token (0 = unfenced)
@@ -210,7 +224,8 @@ class QueryServer {
   bool Dispatch(const std::shared_ptr<Connection>& conn, Request&& request);
 
   /// Executes one drained batch epoch: every SELECT / COUNT as its own
-  /// pool task, then one ApplyBatchUpdate, then writes every response.
+  /// pool task over a cached or fresh covering, then one ApplyBatchUpdate,
+  /// then writes every response.
   void ExecuteEpoch(std::vector<PendingRequest>& batch);
 
   /// Writes a response frame to `conn` (serialized per connection;
@@ -262,6 +277,14 @@ class QueryServer {
   std::atomic<uint64_t> requests_timed_out_{0};
   std::atomic<uint64_t> read_only_rejected_{0};
   std::atomic<uint64_t> update_dedup_hits_{0};
+  std::atomic<uint64_t> cover_cache_hits_{0};
+  std::atomic<uint64_t> cover_cache_misses_{0};
+  std::atomic<uint64_t> cover_cache_entries_{0};
+  std::atomic<uint64_t> cover_cache_bytes_{0};
+
+  /// Touched only by the batcher thread; the atomics above mirror its
+  /// size for stats().
+  CoverCache cover_cache_;
 
   /// Fenced-UPDATE acknowledgment window: (tenant, fence) -> the ack the
   /// original apply earned, so a retry is answered instead of re-applied.

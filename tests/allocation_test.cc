@@ -13,6 +13,7 @@
 #include "core/block_qc.h"
 #include "core/block_set.h"
 #include "core/geoblock.h"
+#include "server/cover_cache.h"
 #include "storage/sharded_dataset.h"
 #include "workload/datagen.h"
 #include "workload/polygen.h"
@@ -172,6 +173,36 @@ TEST_F(AllocationTest, CoverIntoSteadyStateIsAllocationFree) {
   const uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "steady-state CoverInto must not allocate";
   EXPECT_TRUE(same);
+}
+
+TEST_F(AllocationTest, CoverCacheHitIsAllocationFree) {
+  // The server's per-read lookup on a repeated polygon: hashing the rings
+  // and finding the cached covering touch no heap.
+  const auto polygons = workload::Neighborhoods(raw_, 4, 11);
+  ASSERT_FALSE(polygons.empty());
+  server::CoverCache cache(1 << 20);
+  for (const geo::Polygon& polygon : polygons) {
+    cache.Insert(server::CoverCache::Hash(polygon), polygon,
+                 set_.Cover(polygon));
+  }
+  ASSERT_EQ(cache.entries(), polygons.size());
+
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  bool same = true;
+  for (int i = 0; i < 200; ++i) {
+    const geo::Polygon& polygon = polygons[static_cast<size_t>(i) %
+                                           polygons.size()];
+    const std::vector<cell::CellId>* covering =
+        cache.Find(server::CoverCache::Hash(polygon), polygon);
+    same = same && covering != nullptr && !covering->empty();
+  }
+  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "a cover-cache hit must not allocate";
+  EXPECT_TRUE(same) << "every repeated polygon must hit";
+  for (const geo::Polygon& polygon : polygons) {
+    EXPECT_EQ(*cache.Find(server::CoverCache::Hash(polygon), polygon),
+              set_.Cover(polygon));
+  }
 }
 
 TEST_F(AllocationTest, CoveringHugePolygonIsLinearAndKeepsNoScratch) {

@@ -25,10 +25,12 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -151,6 +153,15 @@ class ServerServingTest : public ::testing::Test {
           << what << ": polygon " << p;
     }
   }
+
+  /// memcmp equality of two answers: the count and every double's bits.
+  static bool BitIdentical(const QueryResult& a, const QueryResult& b) {
+    return a.count == b.count && a.values.size() == b.values.size() &&
+           std::memcmp(a.values.data(), b.values.data(),
+                       a.values.size() * sizeof(double)) == 0;
+  }
+
+  static void ExpectFailingReadsAnswerOnlyThemselves(bool warm_cache);
 
   static std::shared_ptr<const storage::SortedDataset>* data_;
   static storage::ShardedDataset* sharded_;
@@ -422,10 +433,13 @@ TEST_F(ServerServingTest, MappedSetServesAndReportsMemoryStats) {
   ::unlink(path.c_str());
 }
 
-TEST_F(ServerServingTest, FailingReadAnswersOnlyItselfInternal) {
-  // One epoch mixing reads that fault a corrupt mapped shard with reads
-  // that avoid it: each failing read is answered kInternal on its own,
-  // and every other read of the same epoch gets its exact answer.
+/// One epoch mixing reads that fault a corrupt mapped shard with reads
+/// that avoid it: each failing read is answered kInternal on its own, and
+/// every other read of the same epoch gets its exact answer. With
+/// `warm_cache`, every polygon is read once first, so every read of that
+/// epoch, the failing ones too, takes its covering from the cover cache.
+void ServerServingTest::ExpectFailingReadsAnswerOnlyThemselves(
+    bool warm_cache) {
   const std::string path =
       ::testing::TempDir() + "server_serving_corrupt.gbst";
   std::string bytes;
@@ -459,22 +473,44 @@ TEST_F(ServerServingTest, FailingReadAnswersOnlyItselfInternal) {
   ASSERT_NE(std::count(hits_corrupt.begin(), hits_corrupt.end(), true), 0);
   ASSERT_NE(std::count(hits_corrupt.begin(), hits_corrupt.end(), false), 0);
 
-  // Park the batcher in its first epoch so every probe below queues up
-  // behind it and the next drain runs all of them as one epoch.
+  // Park the batcher in its first epoch after the warm-up so every probe
+  // below queues up behind it and the next drain runs all of them as one
+  // epoch.
   std::mutex hook_mu;
   std::condition_variable hook_cv;
+  bool park = !warm_cache;
   bool entered = false;
   bool release = false;
   ServerOptions options;
   options.pool = pool_;
   options.batch_hook = [&] {
     std::unique_lock<std::mutex> lock(hook_mu);
+    if (!park) return;
     entered = true;
     hook_cv.notify_all();
     hook_cv.wait(lock, [&] { return release; });
   };
   QueryServer server(&set, options);
   server.Start();
+  const size_t n = polygons_->size();
+  uint64_t warm_misses = 0;
+  if (warm_cache) {
+    // One COUNT per polygon, each its own epoch. A read that fails in the
+    // fold still covered its polygon, so its covering is cached too.
+    Client c = Client::Connect(server.port());
+    for (const geo::Polygon& p : *polygons_) {
+      try {
+        (void)c.Count(p);
+      } catch (const server::ServerError&) {
+      }
+    }
+    const server::ServerStats warm = server.stats();
+    ASSERT_EQ(warm.cover_cache_entries, n);
+    ASSERT_EQ(warm.cover_cache_hits, 0u);
+    warm_misses = warm.cover_cache_misses;
+    std::lock_guard<std::mutex> lock(hook_mu);
+    park = true;
+  }
   std::thread first([&] {
     Client c = Client::Connect(server.port());
     try {
@@ -489,7 +525,6 @@ TEST_F(ServerServingTest, FailingReadAnswersOnlyItselfInternal) {
   }
 
   const AggregateRequest req = Requests()[2];
-  const size_t n = polygons_->size();
   std::vector<Status> select_status(n, Status::kOk);
   std::vector<Status> count_status(n, Status::kOk);
   std::vector<QueryResult> selects(n);
@@ -522,7 +557,16 @@ TEST_F(ServerServingTest, FailingReadAnswersOnlyItselfInternal) {
   for (std::thread& t : probes) t.join();
   first.join();
   server.Stop();
-  EXPECT_EQ(server.stats().batches_executed, 2u) << "probes shared an epoch";
+  const server::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.batches_executed, (warm_cache ? n : 0) + 2)
+      << "probes shared an epoch";
+  EXPECT_EQ(stats.cover_cache_hits + stats.cover_cache_misses,
+            stats.selects_executed + stats.counts_executed);
+  if (warm_cache) {
+    EXPECT_EQ(stats.cover_cache_misses, warm_misses)
+        << "every read after the warm-up took a cached covering";
+    EXPECT_EQ(stats.cover_cache_entries, n);
+  }
 
   for (size_t p = 0; p < n; ++p) {
     if (hits_corrupt[p]) {
@@ -538,6 +582,110 @@ TEST_F(ServerServingTest, FailingReadAnswersOnlyItselfInternal) {
     EXPECT_EQ(counts[p], eager.Count((*polygons_)[p])) << "polygon " << p;
   }
   ::unlink(path.c_str());
+}
+
+TEST_F(ServerServingTest, FailingReadAnswersOnlyItselfInternal) {
+  ExpectFailingReadsAnswerOnlyThemselves(/*warm_cache=*/false);
+}
+
+TEST_F(ServerServingTest, FailingCachedReadAnswersOnlyItselfInternal) {
+  ExpectFailingReadsAnswerOnlyThemselves(/*warm_cache=*/true);
+}
+
+TEST_F(ServerServingTest, RepeatedPolygonsAreBitIdentical) {
+  // Every polygon is read five times: its first read covers, the rest take
+  // the cached covering. Both must answer exactly what Select / Count
+  // answer.
+  BlockSet set = BuildSet();
+  const std::vector<AggregateRequest> reqs = Requests();
+  const size_t n = polygons_->size();
+  constexpr size_t kRepeats = 5;
+  ServerOptions options;
+  options.pool = pool_;
+  QueryServer server(&set, options);
+  server.Start();
+  Client client = Client::Connect(server.port());
+  for (size_t round = 0; round < kRepeats; ++round) {
+    for (size_t p = 0; p < n; ++p) {
+      const geo::Polygon& poly = (*polygons_)[p];
+      const AggregateRequest& req = reqs[(p + round) % reqs.size()];
+      ASSERT_TRUE(BitIdentical(client.Select(poly, req),
+                               set.Select(poly, req)))
+          << "polygon " << p << " round " << round;
+      ASSERT_EQ(client.Count(poly), set.Count(poly))
+          << "polygon " << p << " round " << round;
+    }
+  }
+  // Counters first, responses second: the last answer is in, so the
+  // counters are final.
+  const server::ServerStats s = server.stats();
+  EXPECT_EQ(s.selects_executed + s.counts_executed, 2 * kRepeats * n);
+  EXPECT_EQ(s.cover_cache_hits + s.cover_cache_misses,
+            s.selects_executed + s.counts_executed);
+  EXPECT_EQ(s.cover_cache_misses, n) << "only first reads cover";
+  EXPECT_EQ(s.cover_cache_entries, n);
+  EXPECT_GT(s.cover_cache_bytes, 0u);
+  std::map<std::string, uint64_t> served;
+  for (const auto& [key, value] : client.Stats()) served[key] = value;
+  EXPECT_EQ(served.at("server.cover_cache_hits"), s.cover_cache_hits);
+  EXPECT_EQ(served.at("server.cover_cache_misses"), s.cover_cache_misses);
+  EXPECT_EQ(served.at("server.cover_cache_entries"), s.cover_cache_entries);
+  EXPECT_EQ(served.at("server.cover_cache_bytes"), s.cover_cache_bytes);
+  server.Stop();
+}
+
+TEST_F(ServerServingTest, CachedCoveringDoesNotFreezeShardRoutes) {
+  // The cache holds a polygon's covering, never its shard routes: a
+  // polygon cached while no shard hull reaches it must see the tuples that
+  // a later UPDATE and merge-rebuild bring into it.
+  BlockSet set = BuildSet();
+  constexpr int kProbeLevel = 8;
+  constexpr int kShift = cell::CellId::kMaxLevel - kProbeLevel;
+  std::optional<cell::CellId> hole;
+  for (uint32_t i = 0; i < (1u << kProbeLevel) && !hole; ++i) {
+    for (uint32_t j = 0; j < (1u << kProbeLevel) && !hole; ++j) {
+      const std::vector<cell::CellId> probe{
+          cell::CellId::FromIJLevel(i << kShift, j << kShift, kProbeLevel)};
+      if (set.OverlappingShards(probe).empty()) hole = probe[0];
+    }
+  }
+  ASSERT_TRUE(hole.has_value()) << "every cell routes to some shard";
+  const geo::Rect r = hole->ToRect();
+  const double inset = 0.2 * (r.max.x - r.min.x);
+  const geo::Polygon poly = geo::Polygon::FromRect(set.projection().FromUnit(
+      geo::Rect{{r.min.x + inset, r.min.y + inset},
+                {r.max.x - inset, r.max.y - inset}}));
+  ASSERT_TRUE(set.OverlappingShards(set.Cover(poly)).empty());
+
+  ServerOptions options;
+  options.pool = pool_;
+  QueryServer server(&set, options);
+  server.Start();
+  Client client = Client::Connect(server.port());
+  const AggregateRequest req = Requests()[1];
+  ASSERT_EQ(client.Count(poly), 0u);  // caches the covering
+  ASSERT_EQ(client.Select(poly, req).count, 0u);
+
+  // New-region tuples at the polygon's center buffer as pending; the flush
+  // merge-rebuilds their shard, and its hull grows over the polygon.
+  Batch batch(3);
+  for (size_t k = 0; k < batch.size(); ++k) {
+    batch[k].location = set.projection().FromUnit(hole->CenterPoint());
+    batch[k].values.assign((*data_)->num_columns(),
+                           static_cast<double>(k + 1) / 8.0);
+  }
+  ASSERT_EQ(client.Update(batch).accepted, batch.size());
+  EXPECT_GT(set.FlushPendingUpdates(), 0u);
+  ASSERT_FALSE(set.OverlappingShards(set.Cover(poly)).empty())
+      << "no shard hull grew over the polygon";
+
+  EXPECT_EQ(client.Count(poly), batch.size());
+  EXPECT_EQ(client.Count(poly), set.Count(poly));
+  EXPECT_TRUE(BitIdentical(client.Select(poly, req), set.Select(poly, req)));
+  const server::ServerStats s = server.stats();
+  EXPECT_EQ(s.cover_cache_misses, 1u) << "later reads reused the covering";
+  EXPECT_EQ(s.cover_cache_hits, 4u);
+  server.Stop();
 }
 
 }  // namespace
