@@ -1,6 +1,6 @@
 // Figure 22 (this repo's extension beyond the paper): the MVCC update
 // plane under concurrent reads. One writer thread streams update batches
-// through BlockSet::ApplyBatchUpdate (shard-routed, clone-patch-publish
+// through BlockSet::ApplyBatchUpdate (shard-routed, copy-on-write page
 // commits) while 1/2/4/8 reader threads run SELECTs (SelectCoveringInto,
 // the allocation-free fold the server runs) — with no
 // external serialization anywhere. Reported per thread count:

@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the primitive operations the
 // paper's performance claims rest on: cell-id algebra, Hilbert transforms,
 // polygon covering, Block probing (with and without the lastAgg shortcut),
-// COUNT range sums, and AggregateTrie lookups (paper: 58-81 ns).
+// COUNT range sums, AggregateTrie lookups (paper: 58-81 ns), and update
+// commits against block size.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -190,6 +191,59 @@ void BM_AccumulatorAddAggregate(benchmark::State& state) {
   benchmark::DoNotOptimize(acc.Finish());
 }
 BENCHMARK(BM_AccumulatorAddAggregate);
+
+// Commit cost against block size: one 32-tuple in-cell batch into a GeoBlock
+// of the first `range(0)` level-17 cells of a full-size taxi dataset (the
+// fourth size is about the whole 1M-point set), in µs per commit. The
+// per-commit copy is pages touched plus the page table, so the cost should
+// stay flat as the block grows; `cells` reports the size actually built.
+const storage::SortedDataset& CommitData() {
+  static const storage::SortedDataset data = [] {
+    storage::ExtractOptions options;
+    options.clean_bounds = workload::NycBounds();
+    return storage::SortedDataset::Extract(workload::GenTaxi(TaxiPoints()),
+                                           options);
+  }();
+  return data;
+}
+
+void BM_CommitBatch(benchmark::State& state) {
+  const storage::SortedDataset& data = CommitData();
+  const auto want = static_cast<size_t>(state.range(0));
+  const std::vector<uint64_t>& keys = data.keys();
+  const uint64_t lsb = cell::CellId::LsbForLevel(kDefaultLevel);
+  size_t rows = 0;
+  size_t cells = 0;
+  uint64_t prev = 0;
+  for (; rows < keys.size(); ++rows) {
+    const uint64_t cell_id = (keys[rows] & (~lsb + 1)) | lsb;
+    if (cell_id == prev) continue;
+    if (cells == want) break;
+    ++cells;
+    prev = cell_id;
+  }
+  core::GeoBlock block = core::GeoBlock::Build(
+      storage::DatasetView::UnownedWindow(data, 0, rows),
+      {kDefaultLevel, {}});
+  std::mt19937_64 rng(42);
+  std::vector<core::GeoBlock::UpdateTuple> batch(32);
+  for (core::GeoBlock::UpdateTuple& t : batch) {
+    const uint64_t id = block.cells()[rng() % block.num_cells()];
+    t.location = data.projection().FromUnit(cell::CellId(id).CenterPoint());
+    t.values.resize(data.num_columns());
+    for (double& v : t.values) v = static_cast<double>(rng() % 1000) / 10.0;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(block.ApplyBatchUpdate(batch).applied);
+  }
+  state.counters["cells"] = static_cast<double>(block.num_cells());
+}
+BENCHMARK(BM_CommitBatch)
+    ->Arg(1000)
+    ->Arg(6000)
+    ->Arg(19000)
+    ->Arg(46000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace geoblocks::bench

@@ -251,8 +251,8 @@ class GeoBlockQC {
   void RebuildCache() const;
 
   /// One-shot MVCC commit of an update batch against block *and* cache
-  /// (Section 5): applies `batch` to `block` (clone-patch-publish of its
-  /// BlockState) and mirrors the applied tuples into a patched trie
+  /// (Section 5): applies `batch` to `block` (a copy-on-write commit of
+  /// its BlockState) and mirrors the applied tuples into a patched trie
   /// snapshot (copy-on-write: readers see the whole batch or none of it),
   /// all inside the writer critical section. Safe concurrently with any
   /// number of readers and with interval-triggered rebuilds. There is

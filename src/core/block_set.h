@@ -120,9 +120,10 @@ struct QueryBatch {
 ///
 /// ApplyBatchUpdate routes arriving tuples to shards by Hilbert key using
 /// the manifest boundaries and commits each shard's sub-batch under that
-/// shard's commit lock: the shard block publishes a cloned-and-patched
-/// BlockState version. Writers stripe across shards — commits to different
-/// shards proceed in parallel (optionally on a ThreadPool) — and readers
+/// shard's commit lock: the shard block publishes a copy-on-write
+/// BlockState version (only the touched pages are copied). Writers stripe
+/// across shards — commits to different shards proceed in parallel
+/// (optionally on a ThreadPool) — and readers
 /// never block: SELECT/COUNT run concurrently with updates with no
 /// external serialization. Tuples for new, previously unaggregated regions
 /// land in a per-shard pending buffer; when a buffer crosses

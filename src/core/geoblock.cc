@@ -7,61 +7,16 @@
 #include <utility>
 
 #include "core/scan_kernels.h"
+#include "core/state_builder.h"
 
 namespace geoblocks::core {
-
-namespace {
-
-/// Mutable staging area for a fresh BlockState: build/merge paths fill the
-/// plain vectors, then Finish() freezes them into the immutable,
-/// individually refcounted form a publish expects.
-struct StateBuilder {
-  BlockHeader header;
-  size_t num_columns = 0;
-  std::vector<uint64_t> cells;
-  std::vector<uint32_t> offsets;
-  std::vector<uint32_t> counts;
-  std::vector<uint64_t> min_keys;
-  std::vector<uint64_t> max_keys;
-  std::vector<ColumnAggregate> column_aggs;
-
-  std::shared_ptr<const BlockState> Finish() {
-    if (!cells.empty()) {
-      header.min_cell = cells.front();
-      header.max_cell = cells.back();
-    }
-    auto state = std::make_shared<BlockState>();
-    state->header = std::move(header);
-    state->num_columns = num_columns;
-    state->cells =
-        std::make_shared<const std::vector<uint64_t>>(std::move(cells));
-    state->offsets =
-        std::make_shared<const std::vector<uint32_t>>(std::move(offsets));
-    state->counts =
-        std::make_shared<const std::vector<uint32_t>>(std::move(counts));
-    state->min_keys =
-        std::make_shared<const std::vector<uint64_t>>(std::move(min_keys));
-    state->max_keys =
-        std::make_shared<const std::vector<uint64_t>>(std::move(max_keys));
-    state->column_aggs = std::make_shared<const std::vector<ColumnAggregate>>(
-        std::move(column_aggs));
-    return state;
-  }
-};
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // BlockState: the immutable query plane
 // ---------------------------------------------------------------------------
 
 BlockState::BlockState()
-    : cells(std::make_shared<const std::vector<uint64_t>>()),
-      offsets(std::make_shared<const std::vector<uint32_t>>()),
-      counts(std::make_shared<const std::vector<uint32_t>>()),
-      min_keys(std::make_shared<const std::vector<uint64_t>>()),
-      max_keys(std::make_shared<const std::vector<uint64_t>>()),
-      column_aggs(std::make_shared<const std::vector<ColumnAggregate>>()) {}
+    : cells(std::make_shared<const std::vector<uint64_t>>()) {}
 
 size_t BlockState::SeekFirst(uint64_t key, size_t last_idx) const {
   const std::vector<uint64_t>& ids = *cells;
@@ -93,13 +48,16 @@ void BlockState::CombineCell(cell::CellId qcell, Accumulator* acc,
   const uint64_t last_child = qcell.ChildLast(header.level).id();
   const size_t idx = SeekFirst(first_child, *last_idx);
   // Contiguous range over the sorted cell aggregates (Listing 1, 25-28),
-  // folded as one batched strided scan instead of per-cell calls.
+  // folded as one batched strided scan per page-bounded run.
   const size_t end = idx + kernels::Kernels().upper_bound_u64(
                                ids.data() + idx, ids.size() - idx, last_child);
   if (end > idx) {
-    acc->AddCellRange(counts->data() + idx,
-                      column_aggs->data() + idx * num_columns, end - idx,
-                      num_columns);
+    ForEachPageRun(idx, end, [&](const CellPage& page, size_t first,
+                                 size_t len) {
+      acc->AddCellRange(page.counts.data() + first,
+                        page.columns.data() + first * num_columns, len,
+                        num_columns);
+    });
     *last_idx = end - 1;
   }
 }
@@ -143,8 +101,7 @@ uint64_t BlockState::CountCovering(
     if (last_plus_one <= first) continue;
     const size_t last = last_plus_one - 1;
     // Range-sum over offsets (Listing 2, line 11).
-    result += static_cast<uint64_t>((*offsets)[last]) + (*counts)[last] -
-              (*offsets)[first];
+    result += offset(last) + count(last) - offset(first);
   }
   return result;
 }
@@ -156,41 +113,222 @@ AggregateVector BlockState::AggregateForCell(cell::CellId cell) const {
   const std::vector<uint64_t>& ids = *cells;
   const uint64_t first_child = cell.ChildBegin(header.level).id();
   const uint64_t last_child = cell.ChildLast(header.level).id();
-  size_t idx = static_cast<size_t>(
-      std::lower_bound(ids.begin(), ids.end(), first_child) - ids.begin());
-  while (idx < ids.size() && ids[idx] <= last_child) {
-    agg.count += (*counts)[idx];
-    const ColumnAggregate* cols = cell_columns(idx);
-    for (size_t c = 0; c < num_columns; ++c) agg.columns[c].Merge(cols[c]);
-    ++idx;
-  }
+  const auto begin = std::lower_bound(ids.begin(), ids.end(), first_child);
+  const auto end = std::upper_bound(begin, ids.end(), last_child);
+  ForEachPageRun(static_cast<size_t>(begin - ids.begin()),
+                 static_cast<size_t>(end - ids.begin()),
+                 [&](const CellPage& page, size_t first, size_t len) {
+                   for (size_t i = first; i < first + len; ++i) {
+                     agg.count += page.counts[i];
+                     const ColumnAggregate* cols =
+                         page.columns.data() + i * num_columns;
+                     for (size_t c = 0; c < num_columns; ++c) {
+                       agg.columns[c].Merge(cols[c]);
+                     }
+                   }
+                 });
   return agg;
 }
 
 size_t BlockState::CellAggregateBytes() const {
-  return cells->size() * (sizeof(uint64_t) * 3 + sizeof(uint32_t) * 2) +
-         column_aggs->size() * sizeof(ColumnAggregate);
+  return num_cells() * (sizeof(uint64_t) * 3 + sizeof(uint32_t) * 2 +
+                        num_columns * sizeof(ColumnAggregate));
+}
+
+size_t BlockState::StorageBytes() const {
+  size_t bytes = cells->capacity() * sizeof(uint64_t) +
+                 pages.capacity() * sizeof(pages[0]) +
+                 page_base.capacity() * sizeof(uint64_t);
+  for (const std::shared_ptr<const CellPage>& page : pages) {
+    bytes += sizeof(CellPage) +
+             page->columns.capacity() * sizeof(ColumnAggregate);
+  }
+  return bytes;
+}
+
+// ---------------------------------------------------------------------------
+// StateBuilder: staging for build, coarsen, merge and load
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Rewrites `page`'s offsets as the exclusive prefix sums of its first
+/// `n` counts.
+/// @return The page's tuple total.
+uint32_t PrefixPage(CellPage* page, size_t n) {
+  uint32_t running = 0;
+  for (size_t i = 0; i < n; ++i) {
+    page->offsets[i] = running;
+    running += page->counts[i];
+  }
+  return running;
+}
+
+}  // namespace
+
+StateBuilder::StateBuilder(int level, size_t num_columns)
+    : num_columns_(num_columns) {
+  header.level = level;
+}
+
+StateBuilder::CellRef StateBuilder::Append(uint64_t cell_id) {
+  const size_t idx = cells_.size() % kPageCells;
+  if (idx == 0) {
+    pages_.push_back(std::make_shared<CellPage>());
+    pages_.back()->columns.reserve(kPageCells * num_columns_);
+  }
+  cells_.push_back(cell_id);
+  CellPage& page = *pages_.back();
+  page.columns.resize(page.columns.size() + num_columns_);
+  return {&page.counts[idx], &page.min_keys[idx], &page.max_keys[idx],
+          page.columns.data() + idx * num_columns_};
+}
+
+void StateBuilder::AdoptCells(std::vector<uint64_t> cells) {
+  cells_ = std::move(cells);
+  pages_.clear();
+  for (size_t first = 0; first < cells_.size(); first += kPageCells) {
+    auto page = std::make_shared<CellPage>();
+    page->columns.resize(std::min(kPageCells, cells_.size() - first) *
+                         num_columns_);
+    pages_.push_back(std::move(page));
+  }
+}
+
+std::shared_ptr<const BlockState> StateBuilder::Finish() {
+  auto state = std::make_shared<BlockState>();
+  if (!cells_.empty()) {
+    header.min_cell = cells_.front();
+    header.max_cell = cells_.back();
+    // Appends grew the cell ids and reserved the last page whole; give
+    // the unused capacity back.
+    cells_.shrink_to_fit();
+    pages_.back()->columns.shrink_to_fit();
+  }
+  state->header = std::move(header);
+  state->num_columns = num_columns_;
+  state->pages.reserve(pages_.size());
+  state->page_base.reserve(pages_.size());
+  uint64_t base = 0;
+  for (size_t p = 0; p < pages_.size(); ++p) {
+    state->page_base.push_back(base);
+    base += PrefixPage(pages_[p].get(),
+                       std::min(kPageCells, cells_.size() - p * kPageCells));
+    state->pages.push_back(std::move(pages_[p]));
+  }
+  pages_.clear();
+  state->cells =
+      std::make_shared<const std::vector<uint64_t>>(std::move(cells_));
+  return state;
 }
 
 // ---------------------------------------------------------------------------
 // GeoBlock: construction, copies, state installation
 // ---------------------------------------------------------------------------
 
+/// Writer-side free list of one block: the state node and the pages a
+/// retired version alone still holds, handed to the next commit so the
+/// steady-state commit allocates nothing. All entry points are writer-side
+/// (commits to one block are externally serialized, and the retire hook
+/// runs inside the writer's Publish), so no internal locking is needed.
+///
+/// A commit records the page indices it replaced (`replaced()`) before it
+/// publishes; when the predecessor retires, exactly those pages are the
+/// ones it may hold alone. The predecessor's node is parked with its page
+/// table intact: the next commit re-syncs that table to the current one by
+/// pointer compare, so only the slots that changed cost refcount traffic.
+class PageRecycler {
+ public:
+  /// A mutable state node for the next commit: the parked predecessor of
+  /// the current version when there is one, else a fresh node.
+  std::shared_ptr<BlockState> AcquireState() {
+    if (spare_state_ != nullptr) return std::move(spare_state_);
+    return std::make_shared<BlockState>();
+  }
+
+  /// A page for a copy-on-write copy: a recycled one when free (its
+  /// column buffer keeps its capacity), else a fresh one.
+  std::shared_ptr<CellPage> AcquirePage() {
+    if (spare_pages_.empty()) return std::make_shared<CellPage>();
+    std::shared_ptr<CellPage> page = std::move(spare_pages_.back());
+    spare_pages_.pop_back();
+    return page;
+  }
+
+  /// Page indices the commit being published copied; read (and cleared)
+  /// by the retire hook of its predecessor.
+  std::vector<uint32_t>& replaced() { return replaced_; }
+
+  /// The retire hook: takes back `old`'s node and the replaced pages it
+  /// alone holds. A version still pinned by a StateSnapshot holder is left
+  /// to its holders. A version retired by anything but an in-place commit
+  /// (merge, load, eviction) shares no pages with its successor, so its
+  /// table is dropped rather than parked.
+  ///
+  /// The spares are then trimmed to the number of pages the last commit
+  /// copied: a stream of commits of one size stays allocation-free, and
+  /// the free list never holds more pages than the retired version did.
+  void Retire(std::shared_ptr<const BlockState> old) {
+    const size_t keep = replaced_.size();
+    if (SoleOwner(old)) {
+      auto node = std::const_pointer_cast<BlockState>(std::move(old));
+      if (replaced_.empty()) node->pages.clear();
+      for (const uint32_t p : replaced_) {
+        if (p >= node->pages.size()) continue;  // stale after a failed commit
+        std::shared_ptr<const CellPage>& page = node->pages[p];
+        if (SoleOwner(page)) {
+          spare_pages_.push_back(
+              std::const_pointer_cast<CellPage>(std::move(page)));
+        }
+      }
+      spare_state_ = std::move(node);
+    }
+    if (spare_pages_.size() > keep) spare_pages_.resize(keep);
+    replaced_.clear();
+  }
+
+  /// Drops every spare. Eviction calls this after unpublishing a shard:
+  /// the point of evicting is reclaiming bytes, and the parked node's page
+  /// table would keep the evicted pages alive.
+  void Clear() {
+    spare_state_.reset();
+    spare_pages_.clear();
+  }
+
+ private:
+  /// True when `p` is the last reference (no new one can appear: its
+  /// version is unpublished and past its grace period). use_count() is
+  /// only a relaxed load, so it alone does not order another owner's last
+  /// reads before the commit's writes into the object; the copy's increment
+  /// of the same count (an acq_rel RMW in libstdc++) does.
+  template <typename T>
+  static bool SoleOwner(const std::shared_ptr<T>& p) {
+    if (p.use_count() != 1) return false;
+    [[maybe_unused]] const std::shared_ptr<T> sync = p;
+    return true;
+  }
+
+  std::shared_ptr<BlockState> spare_state_;
+  std::vector<std::shared_ptr<CellPage>> spare_pages_;
+  std::vector<uint32_t> replaced_;
+};
+
 namespace {
 
 /// One cell with the retirement hook attached — shared by the default
 /// constructor and InstallState. The hook counts the retirement and hands
-/// the version to the arena so the next commit reuses its allocations.
+/// the version to the recycler so the next commit reuses its allocations.
 std::unique_ptr<util::SnapshotCell<BlockState>> MakeStateCell(
     std::shared_ptr<const BlockState> initial,
     const std::shared_ptr<std::atomic<uint64_t>>& counter,
-    const std::shared_ptr<StateArena>& arena) {
+    const std::shared_ptr<PageRecycler>& recycler) {
   auto cell =
       std::make_unique<util::SnapshotCell<BlockState>>(std::move(initial));
-  cell->SetRetireHook([counter, arena](std::shared_ptr<const BlockState> old) {
-    counter->fetch_add(1, std::memory_order_relaxed);
-    arena->Recycle(std::move(old));
-  });
+  cell->SetRetireHook(
+      [counter, recycler](std::shared_ptr<const BlockState> old) {
+        counter->fetch_add(1, std::memory_order_relaxed);
+        recycler->Retire(std::move(old));
+      });
   return cell;
 }
 
@@ -198,9 +336,9 @@ std::unique_ptr<util::SnapshotCell<BlockState>> MakeStateCell(
 
 GeoBlock::GeoBlock()
     : retired_(std::make_shared<std::atomic<uint64_t>>(0)),
-      arena_(std::make_shared<StateArena>()) {
+      recycler_(std::make_shared<PageRecycler>()) {
   state_ =
-      MakeStateCell(std::make_shared<const BlockState>(), retired_, arena_);
+      MakeStateCell(std::make_shared<const BlockState>(), retired_, recycler_);
 }
 
 GeoBlock::GeoBlock(const GeoBlock& other) : GeoBlock() {
@@ -229,7 +367,7 @@ GeoBlock::GeoBlock(GeoBlock&& other) noexcept
       num_columns_(other.num_columns_),
       state_(std::move(other.state_)),
       retired_(std::move(other.retired_)),
-      arena_(std::move(other.arena_)) {
+      recycler_(std::move(other.recycler_)) {
   route_cells_.store(other.route_cells_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
   route_min_.store(other.route_min_.load(std::memory_order_relaxed),
@@ -247,7 +385,7 @@ GeoBlock& GeoBlock::operator=(GeoBlock&& other) noexcept {
   num_columns_ = other.num_columns_;
   state_ = std::move(other.state_);
   retired_ = std::move(other.retired_);
-  arena_ = std::move(other.arena_);
+  recycler_ = std::move(other.recycler_);
   route_cells_.store(other.route_cells_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
   route_min_.store(other.route_min_.load(std::memory_order_relaxed),
@@ -261,7 +399,7 @@ void GeoBlock::InstallState(std::shared_ptr<const BlockState> state) {
   // Pre-publication (build/load/copy): no readers exist yet, so the cell is
   // replaced outright instead of epoch-swapped — the empty initial state is
   // not counted as a retirement.
-  state_ = MakeStateCell(state, retired_, arena_);
+  state_ = MakeStateCell(state, retired_, recycler_);
   route_cells_.store(state->num_cells(), std::memory_order_relaxed);
   route_min_.store(state->header.min_cell, std::memory_order_relaxed);
   route_max_.store(state->header.max_cell, std::memory_order_relaxed);
@@ -297,9 +435,7 @@ GeoBlock GeoBlock::Build(storage::DatasetView data,
     block.num_columns_ = view.num_columns();
   }
 
-  StateBuilder b;
-  b.header.level = options.level;
-  b.num_columns = block.num_columns_;
+  StateBuilder b(options.level, block.num_columns_);
   b.header.global = AggregateVector(block.num_columns_);
 
   const uint64_t lsb = cell::CellId::LsbForLevel(options.level);
@@ -308,8 +444,9 @@ GeoBlock GeoBlock::Build(storage::DatasetView data,
 
   const std::span<const uint64_t> keys = view.keys();
   const size_t n = view.num_rows();
-  std::vector<const double*> col_ptrs(b.num_columns);
-  for (size_t c = 0; c < b.num_columns; ++c) col_ptrs[c] = view.column(c).data();
+  const size_t num_columns = block.num_columns_;
+  std::vector<const double*> col_ptrs(num_columns);
+  for (size_t c = 0; c < num_columns; ++c) col_ptrs[c] = view.column(c).data();
 
   // Evaluate the filter once over the whole window as a byte mask: one
   // vectorized pass per predicate over the contiguous column arrays (same
@@ -327,7 +464,6 @@ GeoBlock GeoBlock::Build(storage::DatasetView data,
                      mask.data());
   }
 
-  uint32_t matched_so_far = 0;  // offset into the filtered tuple sequence
   size_t row = 0;
   while (row < n) {
     const uint64_t cell_id = (keys[row] & (~lsb + 1)) | lsb;
@@ -361,15 +497,12 @@ GeoBlock GeoBlock::Build(storage::DatasetView data,
       min_key = keys[row];
       max_key = keys[run_end - 1];
     }
-    b.cells.push_back(cell_id);
-    b.offsets.push_back(matched_so_far);
-    b.counts.push_back(matched);
-    b.min_keys.push_back(min_key);
-    b.max_keys.push_back(max_key);
-    const size_t agg_base = b.column_aggs.size();
-    b.column_aggs.resize(agg_base + b.num_columns);
-    for (size_t c = 0; c < b.num_columns; ++c) {
-      ColumnAggregate* agg = &b.column_aggs[agg_base + c];
+    const StateBuilder::CellRef cell = b.Append(cell_id);
+    *cell.count = matched;
+    *cell.min_key = min_key;
+    *cell.max_key = max_key;
+    for (size_t c = 0; c < num_columns; ++c) {
+      ColumnAggregate* agg = &cell.columns[c];
       if (filtered) {
         kern.aggregate_column_masked(col_ptrs[c] + row, mask.data() + row,
                                      run_len, agg);
@@ -379,7 +512,6 @@ GeoBlock GeoBlock::Build(storage::DatasetView data,
       b.header.global.columns[c].Merge(*agg);
     }
     b.header.global.count += matched;
-    matched_so_far += matched;
     row = run_end;
   }
 
@@ -410,31 +542,24 @@ GeoBlock GeoBlock::CoarsenTo(int level) const {
   block.level_ = level;
   block.num_columns_ = num_columns_;
 
-  StateBuilder b;
-  b.header.level = level;
-  b.num_columns = num_columns_;
+  StateBuilder b(level, num_columns_);
   b.header.global = state->header.global;
 
   const std::vector<uint64_t>& src_cells = *state->cells;
   const uint64_t lsb = cell::CellId::LsbForLevel(level);
   uint64_t current_cell = 0;
+  StateBuilder::CellRef dst{};
   for (size_t i = 0; i < src_cells.size(); ++i) {
     const uint64_t parent = (src_cells[i] & (~lsb + 1)) | lsb;
     if (parent != current_cell) {
-      b.cells.push_back(parent);
-      b.offsets.push_back((*state->offsets)[i]);
-      b.counts.push_back(0);
-      b.min_keys.push_back((*state->min_keys)[i]);
-      b.max_keys.push_back((*state->max_keys)[i]);
-      b.column_aggs.resize(b.column_aggs.size() + num_columns_);
+      dst = b.Append(parent);
+      *dst.min_key = state->min_key(i);
       current_cell = parent;
     }
-    const size_t idx = b.cells.size() - 1;
-    b.counts[idx] += (*state->counts)[i];
-    b.max_keys[idx] = (*state->max_keys)[i];
-    ColumnAggregate* dst = b.column_aggs.data() + idx * num_columns_;
+    *dst.count += state->count(i);
+    *dst.max_key = state->max_key(i);
     const ColumnAggregate* src = state->cell_columns(i);
-    for (size_t c = 0; c < num_columns_; ++c) dst[c].Merge(src[c]);
+    for (size_t c = 0; c < num_columns_; ++c) dst.columns[c].Merge(src[c]);
   }
   block.InstallState(b.Finish());
   return block;
@@ -506,7 +631,7 @@ AggregateVector GeoBlock::AggregateForCell(cell::CellId cell) const {
 }
 
 // ---------------------------------------------------------------------------
-// The MVCC write plane: clone-patch-publish
+// The MVCC write plane: copy-on-write pages
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -517,23 +642,6 @@ struct UpdateHit {
   size_t b;    ///< batch index
   uint64_t key;
 };
-
-/// Clones `src` into the shared_ptr sitting in `*slot` when that array is
-/// sole-owned (a recycled version's private clone — its heap buffer and
-/// control block are reused), else into a fresh allocation. Clears `*slot`.
-template <typename T>
-std::shared_ptr<std::vector<T>> CloneReusing(
-    std::shared_ptr<const std::vector<T>>* slot, const std::vector<T>& src) {
-  std::shared_ptr<std::vector<T>> out;
-  if (*slot != nullptr && slot->use_count() == 1) {
-    out = std::const_pointer_cast<std::vector<T>>(std::move(*slot));
-    *out = src;  // copy-assign: reuses capacity when it suffices
-  } else {
-    out = std::make_shared<std::vector<T>>(src);
-  }
-  slot->reset();
-  return out;
-}
 
 }  // namespace
 
@@ -569,53 +677,75 @@ GeoBlock::UpdateResult GeoBlock::ApplyBatchUpdate(
     }
     hits.push_back({pos, b, key});
   }
-  // Early exit: an all-rejected (or empty) batch publishes nothing — not
-  // even the offsets prefix-sum is recomputed, and the state pointer is
-  // bit-identically unchanged.
+  // Early exit: an all-rejected (or empty) batch publishes nothing, and
+  // the state pointer is bit-identically unchanged.
   if (hits.empty()) return result;
   result.applied = hits.size();
 
-  // Pass 2: clone only the touched arrays. The cell-id array is never
-  // touched by an in-place patch and is shared with the predecessor; the
-  // base-data view is not part of the state at all. The successor node and
-  // its clones come out of the arena — in the steady state this whole pass
-  // reuses the allocations of the version retired two commits ago.
-  std::shared_ptr<BlockState> next = arena_->Acquire();
+  // Pass 2: the successor shares the cell ids and starts from the
+  // predecessor's page table. A recycled node still holds the table of the
+  // version before `cur`, which differs from cur's only where the last
+  // commit copied pages — the pointer compare skips every other slot.
+  std::shared_ptr<BlockState> next = recycler_->AcquireState();
   next->header = cur->header;
   next->num_columns = num_columns_;
-  // A recycled spare may be a retired eviction tombstone; successors are
+  // A recycled node may be a retired eviction tombstone; successors are
   // always real, materialized versions.
   next->evicted = false;
-  auto counts = CloneReusing(&next->counts, *cur->counts);
-  auto min_keys = CloneReusing(&next->min_keys, *cur->min_keys);
-  auto max_keys = CloneReusing(&next->max_keys, *cur->max_keys);
-  auto column_aggs = CloneReusing(&next->column_aggs, *cur->column_aggs);
-  auto offsets = CloneReusing(&next->offsets, *cur->offsets);
   next->cells = cur->cells;
+  next->page_base = cur->page_base;
+  next->pages.resize(cur->pages.size());
+  for (size_t p = 0; p < cur->pages.size(); ++p) {
+    if (next->pages[p] != cur->pages[p]) next->pages[p] = cur->pages[p];
+  }
+
+  // Pass 3: copy each touched page on first touch, then patch in batch
+  // order (per-cell folds stay in arrival order, so a serial replay of the
+  // same batches is bit-identical).
+  std::vector<uint32_t>& touched = recycler_->replaced();
+  touched.clear();
   for (const UpdateHit& h : hits) {
+    const size_t p = h.idx / kPageCells;
+    if (next->pages[p] == cur->pages[p]) {
+      std::shared_ptr<CellPage> copy = recycler_->AcquirePage();
+      *copy = *cur->pages[p];
+      next->pages[p] = std::move(copy);
+      touched.push_back(static_cast<uint32_t>(p));
+    }
+    // This commit made the page and has not published it yet.
+    CellPage& page = const_cast<CellPage&>(*next->pages[p]);
+    const size_t i = h.idx % kPageCells;
+    ++page.counts[i];
+    page.min_keys[i] = std::min(page.min_keys[i], h.key);
+    page.max_keys[i] = std::max(page.max_keys[i], h.key);
+    ColumnAggregate* cols = page.columns.data() + i * num_columns_;
     const UpdateTuple& tuple = batch[h.b];
-    ++(*counts)[h.idx];
-    (*min_keys)[h.idx] = std::min((*min_keys)[h.idx], h.key);
-    (*max_keys)[h.idx] = std::max((*max_keys)[h.idx], h.key);
-    ColumnAggregate* cols = column_aggs->data() + h.idx * num_columns_;
     ++next->header.global.count;
     for (size_t c = 0; c < num_columns_; ++c) {
       cols[c].Add(tuple.values[c]);
       next->header.global.columns[c].Add(tuple.values[c]);
     }
   }
-  // Restore the prefix-sum invariant of the offsets in one pass.
-  offsets->resize(ids.size());
-  uint32_t running = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    (*offsets)[i] = running;
-    running += (*counts)[i];
+
+  // Restore the prefix-sum invariant: the touched pages' local prefixes,
+  // then every page base after the first touched page, shifted by the
+  // tuples the touched pages before it gained.
+  std::sort(touched.begin(), touched.end());
+  const size_t num_pages = next->pages.size();
+  uint64_t carry = 0;
+  size_t t = 0;
+  for (size_t p = touched.front(); p < num_pages; ++p) {
+    next->page_base[p] += carry;
+    if (t < touched.size() && touched[t] == p) {
+      const size_t n = cur->page_cells(p);
+      const CellPage& old_page = *cur->pages[p];
+      const uint32_t old_total =
+          old_page.offsets[n - 1] + old_page.counts[n - 1];
+      carry += PrefixPage(const_cast<CellPage*>(next->pages[p].get()), n) -
+               old_total;
+      ++t;
+    }
   }
-  next->counts = std::move(counts);
-  next->min_keys = std::move(min_keys);
-  next->max_keys = std::move(max_keys);
-  next->column_aggs = std::move(column_aggs);
-  next->offsets = std::move(offsets);
 
   PublishState(std::move(next));
   return result;
@@ -655,67 +785,52 @@ size_t GeoBlock::MergeNewRegionTuples(std::span<const UpdateTuple> batch) {
 
   // One linear merge of the two sorted layouts — the paper's "batched
   // rebuild" without rescanning any base row.
-  StateBuilder b;
-  b.header.level = level_;
-  b.num_columns = num_columns_;
+  StateBuilder b(level_, num_columns_);
   b.header.global = cur->header.global;
   b.header.global.Merge(batch_global);
-  const size_t n = cur->num_cells();
-  const size_t total = n + incoming.size();
-  b.cells.reserve(total);
-  b.offsets.reserve(total);
-  b.counts.reserve(total);
-  b.min_keys.reserve(total);
-  b.max_keys.reserve(total);
-  b.column_aggs.reserve(total * num_columns_);
+  const std::vector<uint64_t>& ids = *cur->cells;
+  const size_t n = ids.size();
 
   size_t new_cells = 0;
   size_t i = 0;
   auto it = incoming.begin();
+  const auto append = [&](uint64_t cell_id, uint32_t count, uint64_t min_key,
+                          uint64_t max_key, const ColumnAggregate* cols) {
+    const StateBuilder::CellRef cell = b.Append(cell_id);
+    *cell.count = count;
+    *cell.min_key = min_key;
+    *cell.max_key = max_key;
+    std::copy(cols, cols + num_columns_, cell.columns);
+    return cell;
+  };
   const auto append_existing = [&](size_t idx) {
-    b.cells.push_back((*cur->cells)[idx]);
-    b.counts.push_back((*cur->counts)[idx]);
-    b.min_keys.push_back((*cur->min_keys)[idx]);
-    b.max_keys.push_back((*cur->max_keys)[idx]);
-    const ColumnAggregate* cols = cur->cell_columns(idx);
-    b.column_aggs.insert(b.column_aggs.end(), cols, cols + num_columns_);
+    return append(ids[idx], cur->count(idx), cur->min_key(idx),
+                  cur->max_key(idx), cur->cell_columns(idx));
   };
   while (i < n || it != incoming.end()) {
-    if (it == incoming.end() ||
-        (i < n && (*cur->cells)[i] < it->first)) {
+    if (it == incoming.end() || (i < n && ids[i] < it->first)) {
       append_existing(i++);
       continue;
     }
-    if (i < n && (*cur->cells)[i] == it->first) {
+    const Partial& part = it->second;
+    if (i < n && ids[i] == it->first) {
       // The cell exists by now (created by an earlier merge after the
       // tuples were buffered): fold the partial in place.
-      append_existing(i++);
-      const size_t idx = b.cells.size() - 1;
-      b.counts[idx] += it->second.count;
-      b.min_keys[idx] = std::min(b.min_keys[idx], it->second.min_key);
-      b.max_keys[idx] = std::max(b.max_keys[idx], it->second.max_key);
-      ColumnAggregate* dst = b.column_aggs.data() + idx * num_columns_;
+      const StateBuilder::CellRef cell = append_existing(i++);
+      *cell.count += part.count;
+      *cell.min_key = std::min(*cell.min_key, part.min_key);
+      *cell.max_key = std::max(*cell.max_key, part.max_key);
       for (size_t c = 0; c < num_columns_; ++c) {
-        dst[c].Merge(it->second.cols[c]);
+        cell.columns[c].Merge(part.cols[c]);
       }
       ++it;
       continue;
     }
     // Genuinely new cell aggregate.
-    b.cells.push_back(it->first);
-    b.counts.push_back(it->second.count);
-    b.min_keys.push_back(it->second.min_key);
-    b.max_keys.push_back(it->second.max_key);
-    b.column_aggs.insert(b.column_aggs.end(), it->second.cols.begin(),
-                         it->second.cols.end());
+    append(it->first, part.count, part.min_key, part.max_key,
+           part.cols.data());
     ++new_cells;
     ++it;
-  }
-  b.offsets.resize(b.cells.size());
-  uint32_t running = 0;
-  for (size_t j = 0; j < b.cells.size(); ++j) {
-    b.offsets[j] = running;
-    running += b.counts[j];
   }
 
   PublishState(b.Finish());
@@ -756,9 +871,9 @@ void GeoBlock::EvictState() {
   // readers keep answering bitwise-stably from it. The routing atomics
   // stay at the (manifest-true) hull of the evicted clean shard.
   state_->Publish(std::move(tomb));
-  // The retire hook may have parked the big retired version as an arena
-  // spare; eviction exists to reclaim those bytes.
-  arena_->Clear();
+  // The recycler may still hold spare pages and a parked node whose page
+  // table pins the evicted pages; eviction exists to reclaim those bytes.
+  recycler_->Clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -773,7 +888,23 @@ size_t GeoBlock::MemoryBytes() const {
   const std::shared_ptr<const BlockState> state = StateSnapshot();
   return sizeof(BlockHeader) +
          state->header.global.columns.size() * sizeof(ColumnAggregate) +
-         state->CellAggregateBytes();
+         state->StorageBytes();
+}
+
+std::vector<uint32_t> GeoBlock::offsets() const {
+  const BlockState* state = CurrentState();
+  std::vector<uint32_t> out(state->num_cells());
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<uint32_t>(state->offset(i));
+  }
+  return out;
+}
+
+std::vector<uint32_t> GeoBlock::counts() const {
+  const BlockState* state = CurrentState();
+  std::vector<uint32_t> out(state->num_cells());
+  for (size_t i = 0; i < out.size(); ++i) out[i] = state->count(i);
+  return out;
 }
 
 }  // namespace geoblocks::core

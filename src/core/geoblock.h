@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -62,21 +64,46 @@ void CoverPolygonInto(const geo::Projection& projection, int level,
                       const geo::Polygon& polygon,
                       std::vector<cell::CellId>* out);
 
-/// One immutable MVCC version of a GeoBlock's aggregate state: the header
-/// plus the parallel cell-aggregate arrays, frozen at publication time.
+/// Cells per page of a BlockState's per-cell arrays. A page of a 7-column
+/// block is about 12.8 KB; a 32-tuple commit into a 46k-cell block copies
+/// about 4% of the block's aggregate bytes instead of all of them.
+inline constexpr size_t kPageCells = 64;
+
+/// One page of a BlockState: the per-cell aggregates of kPageCells
+/// consecutive cells (fewer in a block's last page), held in one refcounted
+/// node. A page is immutable once published; a commit copies the pages it
+/// patches and shares every other page with its predecessor.
+struct CellPage {
+  std::array<uint32_t, kPageCells> counts{};
+  /// Page-local exclusive prefix sums of `counts`: cell i's base-data
+  /// offset is BlockState::page_base[page] + offsets[i].
+  std::array<uint32_t, kPageCells> offsets{};
+  std::array<uint64_t, kPageCells> min_keys{};
+  std::array<uint64_t, kPageCells> max_keys{};
+  /// Per-column aggregates, `num_columns` per cell, cell-major.
+  std::vector<ColumnAggregate> columns;
+};
+
+/// One immutable MVCC version of a GeoBlock's aggregate state: the header,
+/// the ascending cell-id array, and the per-cell aggregates stored as
+/// CellPages behind a page table.
 ///
-/// A BlockState is never mutated once published — updates build a successor
-/// (cloning only the arrays they touch; untouched arrays are shared through
-/// their `shared_ptr`s) and swap it in through the block's
-/// util::SnapshotCell. Readers therefore probe a consistent version with no
-/// locks: every query method on this struct is `const`, touches only the
-/// frozen arrays, and is safe from any number of threads concurrently.
+/// A BlockState is never mutated once published. An in-place update
+/// builds a successor that shares the cell-id array (an in-place patch
+/// never changes it) and every page it does not patch; it copies the page
+/// table, the page bases, and only the touched pages. The successor is
+/// swapped in through the block's util::SnapshotCell. Readers therefore
+/// probe a consistent version with no locks: every query method on this
+/// struct is `const`, touches only frozen data, and is safe from any
+/// number of threads concurrently.
 ///
 /// The struct also carries the full query implementation (CombineCell /
 /// CountCovering / AggregateForCell), so a pinned snapshot can be queried
 /// directly and repeatedly with bitwise-stable answers while newer versions
 /// are published underneath — the contract the concurrent update stress
-/// suite asserts.
+/// suite asserts. Folds walk a cell range page by page; the double folds
+/// are strictly sequential and counts are exact integers, so splitting a
+/// range at page seams leaves every answer bit-identical to a flat fold.
 struct BlockState {
   BlockHeader header;
   size_t num_columns = 0;
@@ -84,7 +111,7 @@ struct BlockState {
   /// True only for the eviction tombstone a lazily opened BlockSet
   /// publishes when a shard is dropped back to "mapped, not
   /// materialized" (and for the initial shell of a never-materialized
-  /// lazy shard). A tombstone holds empty arrays, so every query method
+  /// lazy shard). A tombstone holds no cells, so every query method
   /// on it folds nothing — readers that can fault the shard back in
   /// (BlockSet) check this flag and re-materialize instead of answering
   /// from it; pinned snapshots of *real* versions are unaffected
@@ -92,27 +119,73 @@ struct BlockState {
   /// commits always clear the flag.
   bool evicted = false;
 
-  /// Parallel arrays, one entry per non-empty grid cell, ascending by cell
-  /// id. Each array is individually refcounted so a clone-patch-publish
-  /// update copies only the arrays it changes (an in-place aggregate patch
-  /// shares `cells`, which it never touches). Never null — empty states
-  /// hold empty vectors.
+  /// One id per non-empty grid cell, ascending. Shared by every version
+  /// an in-place patch derives; never null.
   std::shared_ptr<const std::vector<uint64_t>> cells;
-  std::shared_ptr<const std::vector<uint32_t>> offsets;
-  std::shared_ptr<const std::vector<uint32_t>> counts;
-  std::shared_ptr<const std::vector<uint64_t>> min_keys;
-  std::shared_ptr<const std::vector<uint64_t>> max_keys;
-  std::shared_ptr<const std::vector<ColumnAggregate>> column_aggs;
+  /// Page p holds cells [p * kPageCells, (p + 1) * kPageCells). Never
+  /// null entries; ceil(num_cells() / kPageCells) of them.
+  std::vector<std::shared_ptr<const CellPage>> pages;
+  /// Tuples in the pages before page p (one entry per page): with the
+  /// page-local prefixes this makes COUNT's range sum O(1) per endpoint,
+  /// and a commit recomputes O(pages) bases instead of O(cells) offsets.
+  std::vector<uint64_t> page_base;
 
   BlockState();
 
   /// @return Number of (non-empty) cell aggregates in this version.
   size_t num_cells() const { return cells->size(); }
 
+  /// @param p Page index.
+  /// @return Number of cells page p holds.
+  size_t page_cells(size_t p) const {
+    return std::min(kPageCells, num_cells() - p * kPageCells);
+  }
+
+  /// @param idx Cell-aggregate index.
+  /// @return The page holding the idx-th cell.
+  const CellPage& page_of(size_t idx) const { return *pages[idx / kPageCells]; }
+
+  /// @param idx Cell-aggregate index.
+  /// @return Tuple count of the idx-th cell.
+  uint32_t count(size_t idx) const {
+    return page_of(idx).counts[idx % kPageCells];
+  }
+
+  /// @param idx Cell-aggregate index.
+  /// @return Tuples in the cells before the idx-th (its base-data offset).
+  uint64_t offset(size_t idx) const {
+    return page_base[idx / kPageCells] + page_of(idx).offsets[idx % kPageCells];
+  }
+
+  /// @param idx Cell-aggregate index.
+  /// @return Smallest leaf key aggregated into the idx-th cell.
+  uint64_t min_key(size_t idx) const {
+    return page_of(idx).min_keys[idx % kPageCells];
+  }
+
+  /// @param idx Cell-aggregate index.
+  /// @return Largest leaf key aggregated into the idx-th cell.
+  uint64_t max_key(size_t idx) const {
+    return page_of(idx).max_keys[idx % kPageCells];
+  }
+
   /// @param idx Cell-aggregate index.
   /// @return The per-column aggregates of the idx-th cell.
   const ColumnAggregate* cell_columns(size_t idx) const {
-    return column_aggs->data() + idx * num_columns;
+    return page_of(idx).columns.data() + (idx % kPageCells) * num_columns;
+  }
+
+  /// Calls `fn(page, first, len)` for each page-bounded run of the cell
+  /// range [begin, end), in ascending order: `first` is the run's first
+  /// index within `page`.
+  template <typename Fn>
+  void ForEachPageRun(size_t begin, size_t end, Fn&& fn) const {
+    while (begin < end) {
+      const size_t first = begin % kPageCells;
+      const size_t len = std::min(end - begin, kPageCells - first);
+      fn(*pages[begin / kPageCells], first, len);
+      begin += len;
+    }
   }
 
   /// Constant-time pre-check: can `cell` overlap this state at all?
@@ -145,77 +218,30 @@ struct BlockState {
   /// `cell`; used to materialize trie cache entries.
   AggregateVector AggregateForCell(cell::CellId cell) const;
 
-  /// Bytes used by the cell aggregates of this version.
+  /// Logical bytes of the cell aggregates of this version (cell id, two
+  /// u32 and two u64 fields, and the column aggregates per cell): the
+  /// reference size of the cache's aggregate threshold (Section 4.3).
   size_t CellAggregateBytes() const;
+
+  /// Bytes this version's aggregate storage occupies: the cell-id array,
+  /// the pages (fixed per-page arrays included, so a partial last page
+  /// counts whole), the page table and the page bases. At least
+  /// CellAggregateBytes().
+  size_t StorageBytes() const;
 };
 
-/// Writer-side recycling pool for retired BlockState versions. Every update
-/// commit clones the touched aggregate arrays; without reuse the steady
-/// state allocates (and frees) one BlockState plus four or five large
-/// vectors per commit. The block's SnapshotCell retire hook hands each
-/// retired version here once its grace period has drained; the next commit
-/// takes it back — control block, state node, and the member arrays' heap
-/// buffers included — via const_pointer_cast, which is sound because a
-/// use_count()==1 reference is provably the only one (nobody else can copy
-/// a shared_ptr they don't hold).
-///
-/// All entry points are writer-side (commits to one block are externally
-/// serialized, and the retire hook runs inside the writer's Publish), so no
-/// internal locking is needed.
-class StateArena {
- public:
-  StateArena() { spares_.reserve(kMaxSpares); }
-
-  /// Offers a retired version for reuse. Versions still pinned by a
-  /// StateSnapshot holder (use_count > 1) are dropped, not recycled.
-  void Recycle(std::shared_ptr<const BlockState> state) {
-    if (state.use_count() == 1 && spares_.size() < kMaxSpares) {
-      spares_.push_back(std::move(state));
-    }
-  }
-
-  /// A mutable state node for the next commit: a recycled version when one
-  /// is free (its member arrays keep their heap buffers), else a fresh one.
-  std::shared_ptr<BlockState> Acquire() {
-    while (!spares_.empty()) {
-      std::shared_ptr<const BlockState> s = std::move(spares_.back());
-      spares_.pop_back();
-      if (SoleOwner(s)) {
-        return std::const_pointer_cast<BlockState>(std::move(s));
-      }
-    }
-    return std::make_shared<BlockState>();
-  }
-
-  /// Drops every spare. Eviction calls this after unpublishing a shard:
-  /// the point of evicting is reclaiming bytes, and a retired multi-
-  /// megabyte version parked here as a spare would defeat it.
-  void Clear() { spares_.clear(); }
-
- private:
-  /// True when `s` is the last reference to a retired version (no new pin
-  /// can appear: it is unpublished and past its grace period). use_count()
-  /// is only a relaxed load, so it alone does not order a reader's last
-  /// reads of the state before the commit's writes into it; the copy's
-  /// increment of the same count (an acq_rel RMW in libstdc++) does.
-  static bool SoleOwner(const std::shared_ptr<const BlockState>& s) {
-    if (s.use_count() != 1) return false;
-    [[maybe_unused]] const std::shared_ptr<const BlockState> sync = s;
-    return true;
-  }
-
-  static constexpr size_t kMaxSpares = 4;
-  std::vector<std::shared_ptr<const BlockState>> spares_;
-};
+/// Writer-side page free list of one GeoBlock (defined in geoblock.cc).
+class PageRecycler;
 
 /// A GeoBlock: a materialized view over geospatial point data that stores
 /// one *cell aggregate* per non-empty grid cell, sorted by spatial key
 /// (Section 3.4), and answers spatial aggregation queries over arbitrary
 /// polygons from those aggregates alone (Section 3.5).
 ///
-/// Cell aggregates are stored column-wise: parallel arrays of cell id, base
-/// data offset, tuple count, min/max contained leaf key, and a flat array
-/// of per-column min/max/sum.
+/// Cell aggregates are stored column-wise: a flat array of cell ids plus,
+/// in fixed-size pages of kPageCells cells, parallel arrays of base-data
+/// offset, tuple count, min/max contained leaf key, and per-column
+/// min/max/sum.
 ///
 /// ## MVCC aggregate state
 ///
@@ -223,11 +249,12 @@ class StateArena {
 /// refcounted BlockState published through a util::SnapshotCell. Query
 /// entry points pin exactly one state version per call, so SELECT/COUNT
 /// are `const`, lock-free, and safe concurrently with `ApplyBatchUpdate`
-/// and `MergeNewRegionTuples` — writers commit a cloned-and-patched
-/// successor with one epoch swap and never block readers. Writers must be
-/// serialized externally (BlockSet's per-shard commit locks, or a single
-/// updating thread). `StateSnapshot()` hands out an owning reference whose
-/// query answers stay bitwise-stable forever, regardless of later updates.
+/// and `MergeNewRegionTuples` — writers commit a successor that copies
+/// only the pages it patches, with one epoch swap, and never block
+/// readers. Writers must be serialized externally (BlockSet's per-shard
+/// commit locks, or a single updating thread). `StateSnapshot()` hands out
+/// an owning reference whose query answers stay bitwise-stable forever,
+/// regardless of later updates.
 ///
 /// The raw-array accessors (`cells()`, `offsets()`, `header()`, ...) read
 /// the currently published version without pinning; they are for
@@ -478,12 +505,15 @@ class GeoBlock {
   /// already has a cell aggregate updates that aggregate (and the global
   /// header); tuples for new regions are rejected, as covering them
   /// requires rebuilding the sorted aggregate layout (MergeNewRegionTuples
-  /// is that rebuild, batched). Offsets are fixed in a single pass over the
-  /// patched version, so COUNT range sums stay exact.
+  /// is that rebuild, batched). The page-local prefix sums of the patched
+  /// pages and the page bases after them are recomputed, so COUNT range
+  /// sums stay exact.
   ///
-  /// MVCC commit: the current state is cloned (only the touched arrays —
-  /// the cell-id array is shared, and the base-data view is never copied),
-  /// patched with the whole batch, and published with one epoch swap.
+  /// MVCC copy-on-write commit: the successor copies the page table, the
+  /// page bases and only the pages the batch touches (the cell-id array
+  /// and every other page are shared, and the base-data view is never
+  /// copied), is patched with the whole batch, and is published with one
+  /// epoch swap: O(touched pages + pages) work, not O(cells).
   /// Readers concurrently pinning snapshots see the pre-batch or the
   /// post-batch version, never a torn one. An all-rejected (or empty)
   /// batch publishes nothing — the state pointer is unchanged. Writers
@@ -494,9 +524,9 @@ class GeoBlock {
   /// paper's design where updates patch the aggregate layout.
   ///
   /// The commit fast path is allocation-free in the steady state: the
-  /// classification scratch is thread-local, and the successor state —
-  /// node, control block, and cloned arrays — is recycled from retired
-  /// versions through the block's StateArena.
+  /// classification scratch is thread-local, and the successor's state
+  /// node and page copies are recycled from the retired predecessor
+  /// through the block's page free list.
   ///
   /// @param batch  The arriving tuples.
   /// @param subset Optional ascending indices into `batch` selecting the
@@ -600,20 +630,22 @@ class GeoBlock {
   // Raw cell-aggregate accessors (tests, serialization, the trie builder —
   // writer-quiesced use only; see the class comment).
   const std::vector<uint64_t>& cells() const { return *CurrentState()->cells; }
-  const std::vector<uint32_t>& offsets() const {
-    return *CurrentState()->offsets;
-  }
-  const std::vector<uint32_t>& counts() const {
-    return *CurrentState()->counts;
-  }
+  /// Flat copies of the paged arrays: the global base-data offsets (u32
+  /// prefix sums, as serialized) and the per-cell tuple counts.
+  std::vector<uint32_t> offsets() const;
+  std::vector<uint32_t> counts() const;
   const ColumnAggregate* cell_columns(size_t idx) const {
     return CurrentState()->cell_columns(idx);
   }
+  uint32_t cell_count(size_t idx) const { return CurrentState()->count(idx); }
+  uint64_t cell_offset(size_t idx) const {
+    return CurrentState()->offset(idx);
+  }
   uint64_t cell_min_key(size_t idx) const {
-    return (*CurrentState()->min_keys)[idx];
+    return CurrentState()->min_key(idx);
   }
   uint64_t cell_max_key(size_t idx) const {
-    return (*CurrentState()->max_keys)[idx];
+    return CurrentState()->max_key(idx);
   }
 
  private:
@@ -641,9 +673,9 @@ class GeoBlock {
   /// it); the retire counter is shared with the cell's retire hook.
   std::unique_ptr<util::SnapshotCell<BlockState>> state_;
   std::shared_ptr<std::atomic<uint64_t>> retired_;
-  /// Recycles retired state versions into the next commit (shared with the
-  /// cell's retire hook, which outlives any single cell instance).
-  std::shared_ptr<StateArena> arena_;
+  /// Hands the retired predecessor's state node and the pages only it
+  /// held to the next commit (shared with the cell's retire hook).
+  std::shared_ptr<PageRecycler> recycler_;
   std::atomic<size_t> route_cells_{0};
   std::atomic<uint64_t> route_min_{0};
   std::atomic<uint64_t> route_max_{0};

@@ -23,6 +23,7 @@
 #include "core/block_set.h"
 #include "core/geoblock.h"
 #include "core/memory_governor.h"
+#include "core/state_builder.h"
 #include "core/update_codec.h"
 #include "io/mapped_file.h"
 
@@ -31,21 +32,43 @@ namespace geoblocks::core {
 namespace serialize {
 
 uint32_t Crc32(std::string_view bytes) {
-  // CRC-32/ISO-HDLC, table-driven; the table is built once.
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
+  // CRC-32/ISO-HDLC, slice-by-8: table k advances the CRC over a byte
+  // followed by k zero bytes, so one step folds eight bytes with eight
+  // independent lookups. The tables are built once.
+  static const auto tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  size_t n = bytes.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : bytes) {
-    crc = table[(crc ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (crc >> 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; n >= 8; p += 8, n -= 8) {
+      uint32_t lo;
+      uint32_t hi;
+      std::memcpy(&lo, p, 4);
+      std::memcpy(&hi, p + 4, 4);
+      lo ^= crc;
+      crc = tables[7][lo & 0xFFu] ^ tables[6][(lo >> 8) & 0xFFu] ^
+            tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
+            tables[3][hi & 0xFFu] ^ tables[2][(hi >> 8) & 0xFFu] ^
+            tables[1][(hi >> 16) & 0xFFu] ^ tables[0][hi >> 24];
+    }
+  }
+  for (; n > 0; ++p, --n) {
+    crc = tables[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -69,6 +92,40 @@ AggregateVector ReadAggregateVector(std::istream& in) {
   agg.count = ReadPod<uint64_t>(in);
   agg.columns = ReadVector<ColumnAggregate>(in);
   return agg;
+}
+
+/// Writes one paged per-cell field (`width` elements per cell, from
+/// `field(page)`) as the flat length-prefixed array WriteVector writes.
+template <typename T, typename Field>
+void WritePaged(std::ostream& out, const BlockState& state, size_t width,
+                Field field) {
+  WritePod<uint64_t>(out, state.num_cells() * width);
+  for (size_t p = 0; p < state.pages.size(); ++p) {
+    const T* data = field(*state.pages[p]);
+    out.write(reinterpret_cast<const char*>(data),
+              static_cast<std::streamsize>(state.page_cells(p) * width *
+                                           sizeof(T)));
+  }
+}
+
+/// Reads one flat length-prefixed per-cell array written by WritePaged
+/// straight into the builder's pages.
+///
+/// @throws std::runtime_error when the length is not `width` elements per
+///     cell, or on truncation.
+template <typename T, typename Field>
+void ReadPaged(std::istream& in, StateBuilder* b, size_t width, Field field) {
+  const size_t n = b->num_cells();
+  if (ReadPod<uint64_t>(in) != n * width) {
+    throw std::runtime_error("geoblocks: inconsistent GeoBlock arrays");
+  }
+  std::vector<std::shared_ptr<CellPage>>& pages = b->pages();
+  for (size_t p = 0; p < pages.size(); ++p) {
+    const size_t cells = std::min(kPageCells, n - p * kPageCells);
+    in.read(reinterpret_cast<char*>(field(*pages[p])),
+            static_cast<std::streamsize>(cells * width * sizeof(T)));
+    if (!in) throw std::runtime_error("geoblocks: truncated stream");
+  }
 }
 
 void WriteFilter(std::ostream& out, const storage::Filter& filter) {
@@ -133,11 +190,27 @@ void GeoBlock::WriteStateTo(std::ostream& out, const BlockState& state_ref)
   WritePod<uint64_t>(out, state->header.max_cell);
   WriteAggregateVector(out, state->header.global);
   WriteVector(out, *state->cells);
-  WriteVector(out, *state->offsets);
-  WriteVector(out, *state->counts);
-  WriteVector(out, *state->min_keys);
-  WriteVector(out, *state->max_keys);
-  WriteVector(out, *state->column_aggs);
+  // Offsets persist as global u32 prefix sums, as they did before paging.
+  WritePod<uint64_t>(out, state->num_cells());
+  for (size_t p = 0; p < state->pages.size(); ++p) {
+    std::array<uint32_t, kPageCells> offsets;
+    const size_t cells = state->page_cells(p);
+    for (size_t i = 0; i < cells; ++i) {
+      offsets[i] = static_cast<uint32_t>(state->page_base[p] +
+                                         state->pages[p]->offsets[i]);
+    }
+    out.write(reinterpret_cast<const char*>(offsets.data()),
+              static_cast<std::streamsize>(cells * sizeof(uint32_t)));
+  }
+  WritePaged<uint32_t>(out, *state, 1,
+                       [](const CellPage& pg) { return pg.counts.data(); });
+  WritePaged<uint64_t>(out, *state, 1,
+                       [](const CellPage& pg) { return pg.min_keys.data(); });
+  WritePaged<uint64_t>(out, *state, 1,
+                       [](const CellPage& pg) { return pg.max_keys.data(); });
+  WritePaged<ColumnAggregate>(
+      out, *state, num_columns_,
+      [](const CellPage& pg) { return pg.columns.data(); });
   WriteFilter(out, filter_);
 }
 
@@ -152,42 +225,55 @@ GeoBlock GeoBlock::ReadFrom(std::istream& in) {
     throw std::runtime_error("geoblocks: unsupported GeoBlock version");
   }
   GeoBlock block;
-  auto state = std::make_shared<BlockState>();
-  state->header.level = ReadPod<int32_t>(in);
-  block.level_ = state->header.level;
+  block.level_ = ReadPod<int32_t>(in);
   block.num_columns_ = ReadPod<uint64_t>(in);
-  state->num_columns = block.num_columns_;
+  StateBuilder b(block.level_, block.num_columns_);
   geo::Rect domain;
   domain.min.x = ReadPod<double>(in);
   domain.min.y = ReadPod<double>(in);
   domain.max.x = ReadPod<double>(in);
   domain.max.y = ReadPod<double>(in);
   block.projection_ = geo::Projection(domain);
-  state->header.min_cell = ReadPod<uint64_t>(in);
-  state->header.max_cell = ReadPod<uint64_t>(in);
-  state->header.global = ReadAggregateVector(in);
-  state->cells = std::make_shared<const std::vector<uint64_t>>(
-      ReadVector<uint64_t>(in));
-  state->offsets = std::make_shared<const std::vector<uint32_t>>(
-      ReadVector<uint32_t>(in));
-  state->counts = std::make_shared<const std::vector<uint32_t>>(
-      ReadVector<uint32_t>(in));
-  state->min_keys = std::make_shared<const std::vector<uint64_t>>(
-      ReadVector<uint64_t>(in));
-  state->max_keys = std::make_shared<const std::vector<uint64_t>>(
-      ReadVector<uint64_t>(in));
-  state->column_aggs = std::make_shared<const std::vector<ColumnAggregate>>(
-      ReadVector<ColumnAggregate>(in));
+  // Finish() re-derives a non-empty block's key range from its cells.
+  b.header.min_cell = ReadPod<uint64_t>(in);
+  b.header.max_cell = ReadPod<uint64_t>(in);
+  b.header.global = ReadAggregateVector(in);
+  std::vector<uint64_t> cells = ReadVector<uint64_t>(in);
+  // The page allocation below scales with the column count; refuse a
+  // count no payload of this many cells could hold.
+  if (block.num_columns_ != 0 &&
+      cells.size() > serialize::kMaxPayloadBytes / sizeof(ColumnAggregate) /
+                         block.num_columns_) {
+    throw std::runtime_error("geoblocks: implausible GeoBlock column count");
+  }
+  b.AdoptCells(std::move(cells));
+  // The stored offsets land in the pages' offset arrays first and are
+  // checked against the counts' prefix sums below; Finish() then rewrites
+  // them as page-local prefixes.
+  ReadPaged<uint32_t>(in, &b, 1,
+                      [](CellPage& pg) { return pg.offsets.data(); });
+  ReadPaged<uint32_t>(in, &b, 1, [](CellPage& pg) { return pg.counts.data(); });
+  ReadPaged<uint64_t>(in, &b, 1,
+                      [](CellPage& pg) { return pg.min_keys.data(); });
+  ReadPaged<uint64_t>(in, &b, 1,
+                      [](CellPage& pg) { return pg.max_keys.data(); });
+  ReadPaged<ColumnAggregate>(in, &b, block.num_columns_,
+                             [](CellPage& pg) { return pg.columns.data(); });
   if (version >= 2) {
     block.filter_ = ReadFilter(in, block.num_columns_);
   }
-  const size_t n = state->cells->size();
-  if (state->offsets->size() != n || state->counts->size() != n ||
-      state->min_keys->size() != n || state->max_keys->size() != n ||
-      state->column_aggs->size() != n * block.num_columns_) {
-    throw std::runtime_error("geoblocks: inconsistent GeoBlock arrays");
+  // Offsets are derived data: a payload whose offsets are not the (u32)
+  // prefix sums of its counts is corrupt, not something to re-derive.
+  uint32_t running = 0;
+  for (size_t i = 0; i < b.num_cells(); ++i) {
+    const CellPage& page = *b.pages()[i / kPageCells];
+    if (page.offsets[i % kPageCells] != running) {
+      throw std::runtime_error(
+          "geoblocks: GeoBlock offsets are not the prefix sums of its counts");
+    }
+    running += page.counts[i % kPageCells];
   }
-  block.InstallState(std::move(state));
+  block.InstallState(b.Finish());
   return block;
 }
 

@@ -88,7 +88,7 @@ inline void RequireLittleEndianHost() {
 
 /// CRC-32/ISO-HDLC (the zlib/IEEE 802.3 CRC): polynomial 0xEDB88320
 /// (reflected), initial value 0xFFFFFFFF, final XOR 0xFFFFFFFF.
-/// Check value: Crc32("123456789") == 0xCBF43926.
+/// Check value: Crc32("123456789") == 0xCBF43926. Computed slice-by-8.
 ///
 /// @param bytes The exact byte range to checksum.
 /// @return The final (post-XOR) CRC value as stored on disk.

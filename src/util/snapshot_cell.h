@@ -127,8 +127,8 @@ class SnapshotCell {
   /// the one point where "no reader can still be probing this snapshot" is
   /// certain. The hook receives the cell's (writer) reference; other
   /// SnapshotShared holders may still keep the object alive. Used by the
-  /// block/trie planes for shared retirement accounting (and as a seam for
-  /// future deferred reclamation, e.g. arena recycling). Writer-side only:
+  /// block/trie planes for shared retirement accounting, and by the block
+  /// plane to recycle the retired version's pages. Writer-side only:
   /// set it before concurrent publishes, never from a reader.
   using RetireHook = std::function<void(std::shared_ptr<const T>)>;
   void SetRetireHook(RetireHook hook) { retire_hook_ = std::move(hook); }

@@ -62,14 +62,18 @@ namespace {
 
 /// Steady-state allocation behavior of the serving hot paths: the SELECT
 /// read path (SelectCoveringInto), the MVCC commit fast path
-/// (ApplyBatchUpdate routed through the per-shard clone-patch publish), and
+/// (ApplyBatchUpdate routed through the per-shard copy-on-write commit), and
 /// the single-block cached read (GeoBlockQC). Each must reach zero heap
 /// allocations once its reusable scratch — thread-local routing/classify
-/// buffers, the block-state arena, and the caller's QueryResult — is warm.
+/// buffers, the blocks' page free lists, and the caller's QueryResult — is
+/// warm.
 class AllocationTest : public ::testing::Test {
  protected:
   static constexpr int kLevel = 15;
   static constexpr size_t kShards = 2;
+  /// A grid fine enough that one block of the fixture's rows spans at
+  /// least 80 pages.
+  static constexpr int kFineLevel = 18;
 
   void SetUp() override {
     raw_ = workload::GenTaxi(8000, 17);
@@ -102,6 +106,20 @@ class AllocationTest : public ::testing::Test {
         t.values[c] = static_cast<double>(rng() % 1000) / 10.0;
       }
       batch.push_back(std::move(t));
+    }
+    return batch;
+  }
+
+  /// One tuple in the first cell of each of `block`'s first `pages` pages:
+  /// a commit of it copies exactly `pages` pages.
+  std::vector<GeoBlock::UpdateTuple> OnePerPageBatch(const GeoBlock& block,
+                                                     size_t pages) const {
+    std::vector<GeoBlock::UpdateTuple> batch(pages);
+    for (size_t p = 0; p < pages; ++p) {
+      const geo::Point unit =
+          cell::CellId(block.cells()[p * kPageCells]).CenterPoint();
+      batch[p].location = data_->projection().FromUnit(unit);
+      batch[p].values.assign(data_->num_columns(), 1.0);
     }
     return batch;
   }
@@ -285,14 +303,15 @@ TEST_F(AllocationTest, CachedSelectSteadyStateIsAllocationFree) {
 TEST_F(AllocationTest, CommitFastPathSteadyStateIsAllocationFree) {
   // The serving mix: routed commits interleaved with SELECTs over a
   // covering. Readers pin (and release) each shard's current state while
-  // the commits clone-patch-publish successors through the state arenas.
+  // the commits publish copy-on-write successors through the page free
+  // lists.
   const AggregateRequest req = InlineRequest();
   const auto polygons = workload::Neighborhoods(raw_, 2, 5);
   ASSERT_FALSE(polygons.empty());
   const std::vector<cell::CellId> covering = set_.Cover(polygons[0]);
 
   const auto batch = InCellBatch(64, 7);
-  // Warm: the per-block state arenas fill over the first few commits (each
+  // Warm: the per-block page free lists fill over the first few commits (each
   // publish retires the predecessor into its recycler), and the routing /
   // classify thread-locals and the result's values reach capacity.
   QueryResult result;
@@ -319,8 +338,8 @@ TEST_F(AllocationTest, CommitFastPathSteadyStateIsAllocationFree) {
 
 TEST_F(AllocationTest, UncachedCommitFastPathIsAllocationFreeToo) {
   // The per-shard step in isolation: GeoBlock::ApplyBatchUpdate on one
-  // unsharded block over the same rows. The state arena alone must make
-  // the clone-patch-publish loop allocation-free.
+  // unsharded block over the same rows. The page free list alone must make
+  // the copy-on-write commit loop allocation-free.
   GeoBlock block = GeoBlock::Build(*data_, BlockOptions{kLevel, {}});
   const auto batch = InCellBatch(48, 13);
   for (int i = 0; i < 8; ++i) {
@@ -336,6 +355,44 @@ TEST_F(AllocationTest, UncachedCommitFastPathIsAllocationFreeToo) {
   const uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "per-shard commit steady state allocated";
   EXPECT_EQ(applied, kCommits * batch.size());
+}
+
+TEST_F(AllocationTest, WideCommitSteadyStateIsAllocationFree) {
+  // A commit that copies more pages than any fixed free-list size would
+  // hold: the recycler keeps as many spares as the last commit copied, so
+  // a stream of such commits allocates nothing either.
+  GeoBlock block = GeoBlock::Build(*data_, BlockOptions{kFineLevel, {}});
+  const size_t pages = block.num_cells() / kPageCells;
+  ASSERT_GE(pages, 80u) << "too few pages for a wide commit";
+  const auto batch = OnePerPageBatch(block, pages);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(block.ApplyBatchUpdate(batch).applied, pages);
+  }
+
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 8; ++i) {
+    (void)block.ApplyBatchUpdate(batch);
+  }
+  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "wide commit steady state allocated";
+}
+
+TEST_F(AllocationTest, PageFreeListShrinksToTheLastCommit) {
+  // After a stream of wide commits, a stream of one-page commits must give
+  // the surplus spare pages back: the free list holds no more pages than
+  // the last commit copied.
+  GeoBlock block = GeoBlock::Build(*data_, BlockOptions{kFineLevel, {}});
+  const size_t pages = block.num_cells() / kPageCells;
+  ASSERT_GE(pages, 80u) << "too few pages for a wide commit";
+  const auto wide = OnePerPageBatch(block, pages);
+  const auto narrow = OnePerPageBatch(block, 1);
+  for (int i = 0; i < 4; ++i) (void)block.ApplyBatchUpdate(wide);
+  const int64_t wide_live = g_live_bytes.load(std::memory_order_relaxed);
+  for (int i = 0; i < 4; ++i) (void)block.ApplyBatchUpdate(narrow);
+  const int64_t narrow_live = g_live_bytes.load(std::memory_order_relaxed);
+  // Every spare but one is freed; each holds at least its fixed arrays.
+  EXPECT_GE(wide_live - narrow_live,
+            static_cast<int64_t>((pages - 2) * sizeof(CellPage)));
 }
 
 }  // namespace

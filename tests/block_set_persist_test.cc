@@ -471,6 +471,48 @@ TEST_F(BlockSetPersistTest, RejectsStateRowManifestMismatch) {
   EXPECT_THROW(Deserialized(bytes), std::runtime_error);
 }
 
+TEST_F(BlockSetPersistTest, RejectsPayloadOffsetsInconsistentWithCounts) {
+  // Offsets are derived data (prefix sums of counts). Bump one stored
+  // offset of shard 0 and fix up its payload CRC and the manifest CRC, so
+  // only the load-time offsets check can catch it.
+  const BlockSet set = BuildSet(4);
+  const std::string intact = Serialized(set);
+  const size_t k = set.num_shards();
+  const size_t manifest_size = 64 + 52 * k;
+  const size_t payload_crc_pos = 40 + (k + 1) * 8 + k * 16 + k * 8 + k * 16;
+  const core::GeoBlock& shard = set.shard(0);
+  ASSERT_GT(shard.num_cells(), 2u);
+  const size_t idx = shard.num_cells() / 2;
+  uint64_t payload_size;
+  std::memcpy(&payload_size, intact.data() + 40 + (k + 1) * 8 + k * 16 +
+                                 k * 8 + 8,
+              8);
+  // GeoBlock payload: header through max_cell, global aggregate, cells,
+  // then the u64 offsets length (docs/FORMAT.md §GeoBlock payload).
+  const size_t offsets_pos =
+      manifest_size + 4 + 4 + 4 + 8 + 4 * 8 + 8 + 8 + 8 + 8 +
+      shard.num_columns() * sizeof(core::ColumnAggregate) + 8 +
+      shard.num_cells() * 8 + 8;
+  const auto patched = [&](uint32_t delta) {
+    std::string bytes = intact;
+    uint32_t offset;
+    std::memcpy(&offset, bytes.data() + offsets_pos + 4 * idx, 4);
+    EXPECT_EQ(offset, shard.offsets()[idx]);
+    offset += delta;
+    std::memcpy(bytes.data() + offsets_pos + 4 * idx, &offset, 4);
+    const uint32_t payload_crc = core::serialize::Crc32(
+        std::string_view(bytes).substr(manifest_size, payload_size));
+    std::memcpy(bytes.data() + payload_crc_pos, &payload_crc, 4);
+    const uint32_t manifest_crc = core::serialize::Crc32(
+        std::string_view(bytes).substr(0, manifest_size - 4));
+    std::memcpy(bytes.data() + manifest_size - 4, &manifest_crc, 4);
+    return bytes;
+  };
+  // The patch machinery itself leaves an intact set loadable.
+  EXPECT_EQ(patched(0), intact);
+  EXPECT_THROW(Deserialized(patched(1)), std::runtime_error);
+}
+
 // --------------------------------------------------------------------------
 // The byte-level format contract (docs/FORMAT.md)
 // --------------------------------------------------------------------------

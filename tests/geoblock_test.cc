@@ -83,7 +83,7 @@ TEST_F(GeoBlockTest, BuildBasics) {
       ASSERT_LT(block.cells()[i - 1], block.cells()[i]);
     }
     ASSERT_EQ(cell::CellId(block.cells()[i]).level(), 15);
-    total += block.counts()[i];
+    total += block.cell_count(i);
   }
   EXPECT_EQ(total, data_->num_rows());
   EXPECT_EQ(block.header().min_cell, block.cells().front());
@@ -94,8 +94,8 @@ TEST_F(GeoBlockTest, OffsetsAreCumulativeCounts) {
   const GeoBlock block = GeoBlock::Build(*data_, BlockOptions{16, {}});
   uint32_t running = 0;
   for (size_t i = 0; i < block.num_cells(); ++i) {
-    ASSERT_EQ(block.offsets()[i], running);
-    running += block.counts()[i];
+    ASSERT_EQ(block.cell_offset(i), running);
+    running += block.cell_count(i);
   }
 }
 
@@ -245,8 +245,8 @@ TEST_F(GeoBlockTest, CoarsenMatchesRebuild) {
   ASSERT_EQ(coarsened.level(), 13);
   for (size_t i = 0; i < coarsened.num_cells(); ++i) {
     ASSERT_EQ(coarsened.cells()[i], rebuilt.cells()[i]);
-    ASSERT_EQ(coarsened.counts()[i], rebuilt.counts()[i]);
-    ASSERT_EQ(coarsened.offsets()[i], rebuilt.offsets()[i]);
+    ASSERT_EQ(coarsened.cell_count(i), rebuilt.cell_count(i));
+    ASSERT_EQ(coarsened.cell_offset(i), rebuilt.cell_offset(i));
     ASSERT_EQ(coarsened.cell_min_key(i), rebuilt.cell_min_key(i));
     ASSERT_EQ(coarsened.cell_max_key(i), rebuilt.cell_max_key(i));
     for (size_t c = 0; c < coarsened.num_columns(); ++c) {

@@ -245,7 +245,7 @@ TEST_F(IntegrationTest, IncrementalFilterBuildsMatchIsolated) {
   ASSERT_EQ(incremental.header().global.count, isolated.header().global.count);
   for (size_t i = 0; i < incremental.num_cells(); ++i) {
     ASSERT_EQ(incremental.cells()[i], isolated.cells()[i]);
-    ASSERT_EQ(incremental.counts()[i], isolated.counts()[i]);
+    ASSERT_EQ(incremental.cell_count(i), isolated.cell_count(i));
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -209,6 +211,67 @@ TEST_F(SerializeTest, RejectsWrongMagicAcrossTypes) {
   std::memcpy(bytes.data(), &serialize::kSetMagic, sizeof(uint32_t));
   std::stringstream relabeled(bytes);
   EXPECT_THROW(GeoBlock::ReadFrom(relabeled), std::runtime_error);
+}
+
+/// Byte offset of the stored offsets array (after its u64 length) in a
+/// GeoBlock payload (docs/FORMAT.md §GeoBlock payload).
+size_t OffsetsArrayPos(const GeoBlock& block) {
+  return 4 + 4 + 4 + 8 + 4 * 8 + 8 + 8 +           // header through max_cell
+         8 + 8 + block.num_columns() * sizeof(ColumnAggregate) +  // global
+         8 + block.num_cells() * 8 +                // cells
+         8;                                         // offsets length
+}
+
+TEST_F(SerializeTest, RejectsOffsetsThatAreNotPrefixSumsOfCounts) {
+  std::stringstream stream;
+  block_->WriteTo(stream);
+  std::string bytes = stream.str();
+  ASSERT_GT(block_->num_cells(), 2u);
+  // Intact, the payload loads; bump one stored offset and it must not.
+  {
+    std::istringstream in(bytes);
+    EXPECT_EQ(GeoBlock::ReadFrom(in).offsets(), block_->offsets());
+  }
+  const size_t pos = OffsetsArrayPos(*block_) + 4 * (block_->num_cells() / 2);
+  uint32_t offset;
+  std::memcpy(&offset, bytes.data() + pos, 4);
+  ASSERT_EQ(offset, block_->offsets()[block_->num_cells() / 2]);
+  ++offset;
+  std::memcpy(bytes.data() + pos, &offset, 4);
+  std::istringstream in(bytes);
+  EXPECT_THROW(GeoBlock::ReadFrom(in), std::runtime_error);
+}
+
+/// The reference the slice-by-8 Crc32 must equal: the plain one-byte-at-
+/// a-time table loop over CRC-32/ISO-HDLC.
+uint32_t BytewiseCrc32(std::string_view bytes) {
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    crc = table[(crc ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST_F(SerializeTest, Crc32SliceBy8MatchesBytewiseLoop) {
+  std::mt19937_64 rng(2024);
+  std::string buffer(4100 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng());
+  EXPECT_EQ(serialize::Crc32("123456789"), BytewiseCrc32("123456789"));
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 4100; ++len) {
+      const std::string_view bytes(buffer.data() + align, len);
+      ASSERT_EQ(serialize::Crc32(bytes), BytewiseCrc32(bytes))
+          << "length " << len << " at alignment " << align;
+    }
+  }
 }
 
 }  // namespace

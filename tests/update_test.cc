@@ -65,8 +65,8 @@ TEST_F(UpdateTest, OffsetsStayPrefixSums) {
   block_.ApplyBatchUpdate(batch);
   uint32_t running = 0;
   for (size_t i = 0; i < block_.num_cells(); ++i) {
-    ASSERT_EQ(block_.offsets()[i], running);
-    running += block_.counts()[i];
+    ASSERT_EQ(block_.cell_offset(i), running);
+    running += block_.cell_count(i);
   }
 }
 
@@ -201,8 +201,9 @@ TEST_F(UpdateTest, AllRejectedBatchLeavesStateBitIdentical) {
 }
 
 TEST_F(UpdateTest, InPlacePatchSharesUntouchedCellArray) {
-  // Clone-patch-publish copies only the touched arrays: the cell-id array
-  // is untouched by an in-place patch and must be shared, not copied.
+  // A copy-on-write commit copies only the pages it patches: the cell-id
+  // array is untouched by an in-place patch and must be shared, not copied,
+  // and so must every page no tuple lands in.
   const auto before = block_.StateSnapshot();
   const auto batch = InCellBatch(20, 11);
   ASSERT_EQ(block_.ApplyBatchUpdate(batch).applied, 20u);
@@ -210,8 +211,14 @@ TEST_F(UpdateTest, InPlacePatchSharesUntouchedCellArray) {
   ASSERT_NE(before.get(), after.get());
   EXPECT_EQ(before->cells.get(), after->cells.get())
       << "cell-id array was copied by an in-place patch";
-  EXPECT_NE(before->counts.get(), after->counts.get());
-  EXPECT_NE(before->column_aggs.get(), after->column_aggs.get());
+  ASSERT_EQ(before->pages.size(), after->pages.size());
+  size_t copied = 0;
+  for (size_t p = 0; p < before->pages.size(); ++p) {
+    copied += before->pages[p] != after->pages[p];
+  }
+  EXPECT_GE(copied, 1u);
+  EXPECT_LE(copied, batch.size());
+  EXPECT_LT(copied, before->pages.size()) << "every page was copied";
   EXPECT_EQ(block_.retired_states(), 1u);  // the pre-batch version retired
 }
 
@@ -258,8 +265,8 @@ TEST_F(UpdateTest, MergeNewRegionTuplesCreatesCells) {
   }
   uint32_t running = 0;
   for (size_t i = 0; i < block_.num_cells(); ++i) {
-    ASSERT_EQ(block_.offsets()[i], running);
-    running += block_.counts()[i];
+    ASSERT_EQ(block_.cell_offset(i), running);
+    running += block_.cell_count(i);
   }
   EXPECT_EQ(block_.header().global.count, count_before + 2);
   EXPECT_TRUE(block_.MayOverlap(cell));
